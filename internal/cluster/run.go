@@ -255,6 +255,11 @@ func (c *Cluster) prepare(ctx context.Context) error {
 	if c.totalOps == 0 {
 		return fmt.Errorf("cluster: empty trace")
 	}
+	if cap(c.respAll.Samples()) < c.totalOps {
+		// One response sample per operation: size the buffer once
+		// instead of regrowing it through the run.
+		c.respAll.Reset(make([]float64, 0, c.totalOps))
+	}
 	if c.cfg.Migration == MigrateMidpoint {
 		c.migrateAfter = c.totalOps / 2
 	}

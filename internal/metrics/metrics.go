@@ -135,22 +135,22 @@ func Mean(xs []float64) float64 {
 // values; simulation runs produce at most a few million samples, well
 // within memory for the experiment scale.
 type Histogram struct {
-	xs     []float64
-	sorted bool
+	xs  []float64
+	sum float64 // of xs, added in observation order
 }
 
 // Observe adds a sample.
 func (h *Histogram) Observe(x float64) {
 	h.xs = append(h.xs, x)
-	h.sorted = false
+	h.sum += x
 }
 
 // Reset clears the histogram and adopts buf's backing storage for
 // subsequent samples, letting a harness recycle sample buffers across
-// runs instead of regrowing them.
+// runs instead of regrowing them, or size the buffer once up front.
 func (h *Histogram) Reset(buf []float64) {
 	h.xs = buf[:0]
-	h.sorted = false
+	h.sum = 0
 }
 
 // Buffer surrenders the sample buffer for recycling via Reset on another
@@ -159,18 +159,26 @@ func (h *Histogram) Buffer() []float64 { return h.xs }
 
 // Samples exposes the raw sample slice for read-only inspection (state
 // digests). Samples appear in observation order until the first
-// Quantile call sorts them in place; callers that need a
+// Quantile call reorders them in place; callers that need a
 // capture-order-stable view must read before querying quantiles.
 func (h *Histogram) Samples() []float64 { return h.xs }
 
 // Count returns the number of samples.
 func (h *Histogram) Count() int { return len(h.xs) }
 
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 { return Mean(h.xs) }
+// Mean returns the sample mean. The samples are summed in observation
+// order, whatever order Quantile has left them in.
+func (h *Histogram) Mean() float64 {
+	if len(h.xs) == 0 {
+		return 0
+	}
+	return h.sum / float64(len(h.xs))
+}
 
-// Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank on the
-// sorted samples. It returns 0 with no samples.
+// Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank: the
+// element at index ⌈q·n⌉−1 of the samples in sort.Float64s order. It
+// finds that element by selection, in expected linear time, reordering
+// the samples in place. It returns 0 with no samples.
 func (h *Histogram) Quantile(q float64) float64 {
 	if len(h.xs) == 0 {
 		return 0
@@ -178,16 +186,66 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("metrics: quantile %v out of [0,1]", q))
 	}
-	if !h.sorted {
-		sort.Float64s(h.xs)
-		h.sorted = true
-	}
 	idx := int(math.Ceil(q*float64(len(h.xs)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	return h.xs[idx]
+	return selectNth(h.xs, idx)
 }
+
+// selectNth reorders xs so that xs[k] is the element a sort.Float64s
+// would put there, with no element before it greater and none after it
+// less, and returns it. It is Hoare's selection: partition around a
+// median-of-three pivot, then continue in the side that holds k only.
+// Samples that compare equal are the same value, so the result is the
+// sorted element bit for bit (only +0 and −0, equal but distinct, could
+// swap).
+func selectNth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		// Order xs[lo] <= xs[mid] <= xs[hi]: the pivot is the median,
+		// and the two ends stop both scans below.
+		mid := lo + (hi-lo)/2
+		if less(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if less(xs[hi], xs[lo]) {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if less(xs[hi], xs[mid]) {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for less(xs[i], pivot) {
+				i++
+			}
+			for less(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] <= pivot <= xs[i..hi], and anything strictly
+		// between j and i equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
+}
+
+// less is sort.Float64s's order: ascending, with NaNs first.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
 
 // TimeSeries buckets (t, value) observations into fixed-width windows and
 // reports the per-window mean — exactly the "average response time of

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -209,7 +210,7 @@ func TestHistogramObserveAfterQuantile(t *testing.T) {
 	var h Histogram
 	h.Observe(5)
 	_ = h.Quantile(0.5)
-	h.Observe(1) // must re-sort lazily
+	h.Observe(1) // must be seen by the next query
 	if q := h.Quantile(0); q != 1 {
 		t.Fatalf("histogram stale after post-quantile observe: p0=%v", q)
 	}
@@ -238,6 +239,75 @@ func TestPropertyHistogramQuantileMonotone(t *testing.T) {
 				t.Fatalf("quantile %v outside [%v,%v]", v, lo, hi)
 			}
 			prev = v
+		}
+	}
+}
+
+// Property: Quantile's selection returns, bit for bit, the nearest-rank
+// element of a sort.Float64s reference — on shuffled inputs with many
+// duplicates, on presorted, reversed and all-equal inputs, with NaNs and
+// infinities, and for repeated queries on one histogram (each query
+// starts from the order the previous one left) — and only reorders the
+// samples, leaving Mean as the observation-order mean.
+func TestPropertyQuantileMatchesSort(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	qs := []float64{0, 0.01, 0.5, 0.99, 1}
+	nearest := func(sorted []float64, q float64) float64 {
+		idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+		if idx < 0 {
+			idx = 0
+		}
+		return sorted[idx]
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rnd.Intn(300)
+		if trial%10 == 0 {
+			n = 1000 + rnd.Intn(5000)
+		}
+		distinct := 1 + rnd.Intn(n) // few distinct values: many duplicates
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rnd.Intn(distinct)) * 0.001
+		}
+		switch trial % 5 {
+		case 1:
+			sort.Float64s(xs)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		case 3:
+			xs[rnd.Intn(n)] = math.NaN()
+			xs[rnd.Intn(n)] = math.Inf(1)
+			xs[rnd.Intn(n)] = math.Inf(-1)
+		}
+		ref := append([]float64(nil), xs...)
+		sort.Float64s(ref)
+
+		var shared Histogram
+		for _, x := range xs {
+			shared.Observe(x)
+		}
+		for _, q := range qs {
+			want := nearest(ref, q)
+			var h Histogram
+			for _, x := range xs {
+				h.Observe(x)
+			}
+			for name, got := range map[string]float64{"fresh": h.Quantile(q), "repeated": shared.Quantile(q)} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d (n=%d, %d distinct) %s Quantile(%v) = %v, sorted reference %v",
+						trial, n, distinct, name, q, got, want)
+				}
+			}
+			if got, want := shared.Mean(), Mean(xs); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("trial %d: Mean after Quantile = %v, observation-order mean %v", trial, got, want)
+			}
+			after := append([]float64(nil), h.Samples()...)
+			sort.Float64s(after)
+			for i := range after {
+				if math.Float64bits(after[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("trial %d: Quantile changed the samples, not just their order", trial)
+				}
+			}
 		}
 	}
 }

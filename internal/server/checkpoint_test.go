@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"edm"
+	"edm/internal/snapshot"
 )
 
 // midReq is big enough (hundreds of ms of replay) that a demand
@@ -129,53 +130,112 @@ func TestBadResumeRejected(t *testing.T) {
 // new server over the same StateDir re-admits the job under its
 // original id, resumes it from the newest frame, and finishes with
 // bytes identical to an uninterrupted local run. Completion then
-// cleans the state files up.
+// cleans the state files up. A frame file the new server cannot read —
+// here one written with the previous frame version — restarts the job
+// from event 0 and is replaced, so the next crash resumes from a
+// current frame instead of restarting again.
 func TestStateDirRecovery(t *testing.T) {
-	dir := t.TempDir()
 	want := directRun(t, midReq())
 
-	// First life: run, checkpoint, die mid-flight.
-	sA := New(Config{Workers: 1, QueueDepth: 4, StateDir: dir})
-	tsA := httptest.NewServer(sA.Handler())
-	cA := NewClient(tsA.URL, nil)
-	st, respA := submit(t, tsA, midReq())
-	if respA.StatusCode != http.StatusCreated {
-		t.Fatalf("submit: status %d", respA.StatusCode)
-	}
-	waitProgress(t, cA, st.ID, 30*time.Second)
-	ckCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	if _, err := cA.Checkpoint(ckCtx, st.ID); err != nil {
-		cancel()
-		t.Fatalf("demand checkpoint: %v", err)
-	}
-	cancel()
-	// Simulate a crash: force-cancel the in-flight job (drain deadline
-	// already expired) and tear the process-equivalent down. Cancelled
-	// jobs keep their state files.
-	expired, cancelExpired := context.WithCancel(context.Background())
-	cancelExpired()
-	_ = sA.Shutdown(expired)
-	tsA.Close()
+	t.Run("newest frame", func(t *testing.T) {
+		dir := t.TempDir()
+		id := firstLife(t, dir)
+		finishRecovered(t, dir, id, want)
+	})
 
+	t.Run("previous frame version", func(t *testing.T) {
+		dir := t.TempDir()
+		id := firstLife(t, dir)
+		ckPath := filepath.Join(dir, id+".ckpt")
+		ck, err := os.ReadFile(ckPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck[8] = snapshot.Version - 1 // the first frame's header version
+		if err := os.WriteFile(ckPath, ck, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		// Second life: the frame is refused, so the job restarts from
+		// event 0; it crashes again after a fresh checkpoint.
+		s, ts, c := startLife(dir)
+		if view, err := c.Status(context.Background(), id); err != nil || len(view.Request.Resume) != 0 {
+			t.Fatalf("job with a previous-version frame was re-admitted with %d resume bytes (%v), want a restart",
+				len(view.Request.Resume), err)
+		}
+		checkpointAndCrash(t, s, ts, c, id)
+		snap, err := snapshot.ReadLastFile(ckPath)
+		if err != nil {
+			t.Fatalf("frame file after the restarted life: %v", err)
+		}
+		if snap.FormatVersion != snapshot.Version {
+			t.Fatalf("newest frame has version %d, want %d", snap.FormatVersion, snapshot.Version)
+		}
+
+		// Third life resumes from that frame and finishes.
+		finishRecovered(t, dir, id, want)
+	})
+}
+
+// startLife starts a server over the state directory dir.
+func startLife(dir string) (*Server, *httptest.Server, *Client) {
+	s := New(Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+	ts := httptest.NewServer(s.Handler())
+	return s, ts, NewClient(ts.URL, nil)
+}
+
+// firstLife submits midReq to a server over dir, checkpoints it mid-run
+// and crashes the server, leaving the job's state files behind. It
+// returns the job id.
+func firstLife(t *testing.T, dir string) string {
+	t.Helper()
+	s, ts, c := startLife(dir)
+	st, resp := submit(t, ts, midReq())
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	checkpointAndCrash(t, s, ts, c, st.ID)
 	for _, name := range []string{st.ID + ".req", st.ID + ".ckpt"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("state file %s missing after crash: %v", name, err)
 		}
 	}
+	return st.ID
+}
 
-	// Second life: recovery re-admits and finishes the job.
-	sB := New(Config{Workers: 1, QueueDepth: 4, StateDir: dir})
-	tsB := httptest.NewServer(sB.Handler())
-	cB := NewClient(tsB.URL, nil)
+// checkpointAndCrash waits until the job replays, demand-checkpoints it,
+// then simulates a crash: it force-cancels the in-flight job (the drain
+// deadline has already expired) and tears the server down. Cancelled
+// jobs keep their state files.
+func checkpointAndCrash(t *testing.T, s *Server, ts *httptest.Server, c *Client, id string) {
+	t.Helper()
+	waitProgress(t, c, id, 30*time.Second)
+	ckCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.Checkpoint(ckCtx, id); err != nil {
+		t.Fatalf("demand checkpoint: %v", err)
+	}
+	expired, cancelExpired := context.WithCancel(context.Background())
+	cancelExpired()
+	_ = s.Shutdown(expired)
+	ts.Close()
+}
+
+// finishRecovered starts a server over dir and requires it to resume
+// job id from its frame file, finish it with the bytes want, and clean
+// its state files up.
+func finishRecovered(t *testing.T, dir, id string, want []byte) {
+	t.Helper()
+	s, ts, c := startLife(dir)
 	t.Cleanup(func() {
-		tsB.Close()
+		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
-		_ = sB.Shutdown(ctx)
+		_ = s.Shutdown(ctx)
 	})
 
-	waitState(t, cB, st.ID, StateDone, 60*time.Second)
-	view, err := cB.Status(context.Background(), st.ID)
+	waitState(t, c, id, StateDone, 60*time.Second)
+	view, err := c.Status(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +253,8 @@ func TestStateDirRecovery(t *testing.T) {
 	// Done jobs clean up their state files.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, errReq := os.Stat(filepath.Join(dir, st.ID+".req"))
-		_, errCk := os.Stat(filepath.Join(dir, st.ID+".ckpt"))
+		_, errReq := os.Stat(filepath.Join(dir, id+".req"))
+		_, errCk := os.Stat(filepath.Join(dir, id+".ckpt"))
 		if os.IsNotExist(errReq) && os.IsNotExist(errCk) {
 			break
 		}

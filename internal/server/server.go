@@ -227,9 +227,18 @@ func (s *Server) recoverState() {
 			_ = os.Remove(name) // undecodable: drop, or it wedges every restart
 			continue
 		}
-		if ck, err := os.ReadFile(filepath.Join(s.cfg.StateDir, id+".ckpt")); err == nil {
+		ckPath := filepath.Join(s.cfg.StateDir, id+".ckpt")
+		if ck, err := os.ReadFile(ckPath); err == nil {
 			if _, err := snapshot.ReadLast(bytes.NewReader(ck)); err == nil {
 				req.Resume = ck
+			} else {
+				// No readable first frame (torn, or written by a binary
+				// with another frame version): the job restarts from
+				// event 0, and the file must go with it. Its new frames
+				// would otherwise be appended behind the bad head,
+				// which ReadLast never gets past, and every later
+				// restart would begin from event 0 again.
+				_ = os.Remove(ckPath)
 			}
 		}
 		spec, err := req.Spec()

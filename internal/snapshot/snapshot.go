@@ -32,6 +32,15 @@
 //	payload SHA-256  (32 bytes)
 //	payload          (JSON-encoded Snapshot)
 //
+// The current format is version 2. Version 1 frames sealed their state
+// with byte-wise section digests; version 2 seals the same sections with
+// the word-wise digests of package fnvx, so a version-1 capture can
+// never verify against a version-2 binary. Decoders therefore refuse a
+// frame of any other version at the header, as ErrCorrupt, instead of
+// replaying to its event count only to fail Verify with a divergence
+// diff. edmd treats a refused frame file like a missing one: it removes
+// it and restarts the job from event 0.
+//
 // Save appends one frame per checkpoint; ReadLast scans the stream and
 // returns the last frame whose seal verifies, tolerating a truncated
 // final frame (a SIGKILL mid-write loses at most the newest
@@ -56,8 +65,10 @@ import (
 
 // Version is the current frame format version. Decoders reject frames
 // with a different version rather than guessing at field layouts —
-// checkpoints do not outlive the binary that wrote them.
-const Version = 1
+// checkpoints do not outlive the binary that wrote them. Bump it
+// whenever the payload layout or any section digest changes (version 2:
+// word-wise fnvx digests).
+const Version = 2
 
 var magic = [8]byte{'E', 'D', 'M', 'S', 'N', 'A', 'P', '1'}
 

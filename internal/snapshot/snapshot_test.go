@@ -140,6 +140,7 @@ func TestTamperedFrameRejected(t *testing.T) {
 		"seal bit flip":    func(b []byte) { b[20] ^= 1 },
 		"bad magic":        func(b []byte) { b[0] = 'X' },
 		"future version":   func(b []byte) { b[8] = 99 },
+		"previous version": func(b []byte) { b[8] = Version - 1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			bad := append([]byte{}, frame...)

@@ -277,7 +277,7 @@ func Generate(p Profile, seed uint64) (*Trace, error) {
 	total := p.WriteCount + p.ReadCount
 	writeLeft, readLeft := p.WriteCount, p.ReadCount
 	users := make([]userState, p.Users)
-	t.Records = make([]Record, 0, total+total/4)
+	t.Records = make([]Record, 0, recordCapacity(p, total))
 
 	// Popularity drift: at ten checkpoints across the trace, swap rank
 	// positions in both permutations (the same positions, preserving
@@ -365,6 +365,19 @@ func Generate(p Profile, seed uint64) (*Trace, error) {
 		}
 	}
 	return t, nil
+}
+
+// recordCapacity sizes Generate's record slice once, so that it never
+// regrows: every operation is one record, and every switch to another
+// file adds an open plus a close (immediately, or at the end of the
+// trace). A user's first operation always switches and a later one
+// switches with probability 1−RepeatProb, so the switches number at
+// most Users plus a binomial around (1−RepeatProb)·ops; the 2 % and
+// constant margins cover its spread (TestGenerateNeverRegrows checks
+// every built-in profile over a range of scales and seeds).
+func recordCapacity(p Profile, ops int) int {
+	reopens := math.Ceil(2 * (1 - p.RepeatProb) * float64(ops) * 1.02)
+	return ops + int(reopens) + 2*p.Users + 64
 }
 
 // scramblePerm copies perm and re-shuffles a random fraction of its

@@ -65,13 +65,15 @@ func parseOpKind(s string) (OpKind, error) {
 // for hash placement).
 type FileID int64
 
-// Record is one trace operation.
+// Record is one trace operation. The fields are ordered widest first
+// so a record packs into 32 bytes, two to a 64-byte cache line: a
+// replay streams through millions of them.
 type Record struct {
-	User   int32 // issuing user; users are sharded across clients
 	File   FileID
-	Kind   OpKind
 	Offset int64 // bytes; meaningful for read/write
 	Size   int64 // bytes; meaningful for read/write
+	User   int32 // issuing user; users are sharded across clients
+	Kind   OpKind
 }
 
 // FileInfo describes a traced file.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -479,5 +480,43 @@ func TestHotFileSizeBoostCorrelatesSizeWithHeat(t *testing.T) {
 	}
 	if boosted <= base {
 		t.Fatalf("boost had no effect on hot files: %d vs %d", boosted, base)
+	}
+}
+
+// TestRecordSize pins the packed record layout: 32 bytes, two records
+// per 64-byte cache line.
+func TestRecordSize(t *testing.T) {
+	if got := reflect.TypeOf(Record{}).Size(); got != 32 {
+		t.Fatalf("Record is %d bytes, want 32", got)
+	}
+}
+
+// TestGenerateNeverRegrows: Generate sizes Records once from the
+// profile, and the records it then appends never outgrow that
+// capacity — for every built-in profile and the random workload, over
+// the scales the tools and benchmarks use — while the capacity stays
+// within a few percent of what is used.
+func TestGenerateNeverRegrows(t *testing.T) {
+	profiles := append(Profiles(), RandomProfile(2000, 400000))
+	for _, scale := range []int{20, 40, 400, 1000} {
+		for _, base := range profiles {
+			p := base.Scaled(scale)
+			want := recordCapacity(p, p.WriteCount+p.ReadCount)
+			for seed := uint64(1); seed <= 3; seed++ {
+				tr, err := Generate(p, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := len(tr.Records)
+				if got := cap(tr.Records); got != want {
+					t.Errorf("%s/%d seed %d: %d records, capacity %d, want the presized %d (regrown)",
+						p.Name, scale, seed, n, got, want)
+				}
+				if slack := want - n; float64(slack) > 0.05*float64(n)+float64(2*p.Users+64) {
+					t.Errorf("%s/%d seed %d: capacity %d overshoots %d records by %d",
+						p.Name, scale, seed, want, n, slack)
+				}
+			}
+		}
 	}
 }
