@@ -182,14 +182,6 @@ func BenchmarkAlgorithm1HDF(b *testing.B) {
 	}
 }
 
-// BenchmarkTemperatureTracking measures the Def.-1 access path.
-func BenchmarkTemperatureTracking(b *testing.B) {
-	tr := temperature.New(temperature.DefaultInterval)
-	for i := 0; i < b.N; i++ {
-		tr.RecordWrite(temperature.ObjectID(i%4096), 2, 0)
-	}
-}
-
 // BenchmarkTemperatureTouch measures the slot-addressed replay hot path
 // — a pre-installed tracker touched by dense handle, including periodic
 // epoch advances. The benchgate baseline pins it allocation-free.

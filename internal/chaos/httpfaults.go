@@ -1,16 +1,17 @@
 package chaos
 
 import (
+	"fmt"
+	"net/http"
 	"strings"
 	"sync"
-
-	"edm/internal/dispatch"
+	"time"
 )
 
-// HTTPScript turns a Plan's dispatch-layer faults into a
-// dispatch.ClientConfig.FaultHook. The script counts HTTP exchanges
-// (per fault, over exchanges matching the fault's Path substring) and
-// fires each fault at its Nth match:
+// HTTPScript turns a Plan's dispatch-layer faults into an
+// http.RoundTripper (Transport) for the coordinator's HTTP client. The
+// script counts HTTP exchanges (per fault, over exchanges whose path
+// contains the fault's Path) and fires each fault at its Nth match:
 //
 //   - drop-response drops exactly the Nth matching exchange;
 //   - delay-response stalls exactly the Nth matching exchange by
@@ -18,9 +19,9 @@ import (
 //   - worker-death drops every matching exchange from the Nth onward
 //     (the worker died mid-conversation and never answers again).
 //
-// The hook is safe for concurrent use; a Client calls it from
-// whatever goroutines issue requests. Device-kind faults in the plan
-// are ignored — they belong to the virtual-clock Injector.
+// The script is safe for concurrent use; a client sends requests from
+// whatever goroutines issue them. Device-kind faults in the plan are
+// ignored — they belong to the virtual-clock Injector.
 type HTTPScript struct {
 	mu     sync.Mutex
 	faults []scriptFault
@@ -40,20 +41,57 @@ func NewHTTPScript(p Plan) *HTTPScript {
 	return s
 }
 
-// Hook returns the function to install as ClientConfig.FaultHook.
-// Returns nil when the plan has no dispatch faults, so the client's
-// zero-cost no-hook path stays intact.
-func (s *HTTPScript) Hook() func(method, path string) dispatch.RequestFault {
-	if len(s.faults) == 0 {
-		return nil
+// Transport wraps base (http.DefaultTransport when nil) so that every
+// exchange passes through the script; install it as the Transport of
+// dispatch.ClientConfig.HTTP. A dropped exchange fails before it
+// reaches the network, as if the worker's response never arrived; a
+// delayed exchange stalls first, returning early with the context's
+// error if the request's context ends during the stall. A plan without
+// dispatch faults gets base back unchanged.
+func (s *HTTPScript) Transport(base http.RoundTripper) http.RoundTripper {
+	if base == nil {
+		base = http.DefaultTransport
 	}
-	return s.verdict
+	if len(s.faults) == 0 {
+		return base
+	}
+	return &scriptTransport{s: s, base: base}
 }
 
-func (s *HTTPScript) verdict(method, path string) dispatch.RequestFault {
+type scriptTransport struct {
+	s    *HTTPScript
+	base http.RoundTripper
+}
+
+// RoundTrip implements http.RoundTripper.
+func (t *scriptTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	drop, delay := t.s.verdict(req.URL.Path)
+	fail := func(err error) (*http.Response, error) {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, err
+	}
+	if delay > 0 {
+		timer := time.NewTimer(delay)
+		select {
+		case <-req.Context().Done():
+			timer.Stop()
+			return fail(req.Context().Err())
+		case <-timer.C:
+		}
+	}
+	if drop {
+		return fail(fmt.Errorf("chaos: injected response drop (%s %s)", req.Method, req.URL.Path))
+	}
+	return t.base.RoundTrip(req)
+}
+
+// verdict counts one exchange on path against every fault and reports
+// whether to drop it and how long to stall it first.
+func (s *HTTPScript) verdict(path string) (drop bool, delay time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out dispatch.RequestFault
 	for i := range s.faults {
 		sf := &s.faults[i]
 		if sf.f.Path != "" && !strings.Contains(path, sf.f.Path) {
@@ -64,19 +102,19 @@ func (s *HTTPScript) verdict(method, path string) dispatch.RequestFault {
 		switch sf.f.Kind {
 		case FaultDropResponse:
 			if n == sf.f.Nth {
-				out.Drop = true
+				drop = true
 			}
 		case FaultWorkerDeath:
 			if n >= sf.f.Nth {
-				out.Drop = true
+				drop = true
 			}
 		case FaultDelayResponse:
-			if n == sf.f.Nth && sf.f.WallDelay > out.Delay {
-				out.Delay = sf.f.WallDelay
+			if n == sf.f.Nth && sf.f.WallDelay > delay {
+				delay = sf.f.WallDelay
 			}
 		}
 	}
-	return out
+	return drop, delay
 }
 
 // Exchanges reports how many exchanges each fault has seen so far

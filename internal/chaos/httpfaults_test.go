@@ -1,29 +1,59 @@
 package chaos
 
 import (
+	"context"
+	"errors"
+	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// stubTransport answers every request that reaches it with an empty
+// 200 and counts them: a request the script drops never gets here.
+type stubTransport struct{ reached atomic.Int64 }
+
+func (s *stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	s.reached.Add(1)
+	return &http.Response{StatusCode: http.StatusOK, Body: http.NoBody, Request: req}, nil
+}
+
+// exchange sends one request through rt and returns its error.
+func exchange(t *testing.T, ctx context.Context, rt http.RoundTripper, method, path string) error {
+	t.Helper()
+	req, err := http.NewRequestWithContext(ctx, method, "http://worker.test"+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := rt.RoundTrip(req)
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	return nil
+}
 
 func TestHTTPScriptDropNth(t *testing.T) {
 	s := NewHTTPScript(Plan{Faults: []Fault{
 		{Kind: FaultDropResponse, Path: "/v1/runs", Nth: 1},
 	}})
-	hook := s.Hook()
-	if hook == nil {
-		t.Fatal("hook nil despite dispatch faults")
-	}
-	if hook("POST", "/v1/runs").Drop {
+	base := &stubTransport{}
+	rt := s.Transport(base)
+	ctx := context.Background()
+	if exchange(t, ctx, rt, "POST", "/v1/runs") != nil {
 		t.Error("exchange 0 dropped, want exchange 1")
 	}
-	if hook("GET", "/healthz").Drop {
+	if exchange(t, ctx, rt, "GET", "/healthz") != nil {
 		t.Error("non-matching path dropped")
 	}
-	if !hook("POST", "/v1/runs").Drop {
+	if exchange(t, ctx, rt, "POST", "/v1/runs") == nil {
 		t.Error("exchange 1 not dropped")
 	}
-	if hook("POST", "/v1/runs").Drop {
+	if exchange(t, ctx, rt, "POST", "/v1/runs") != nil {
 		t.Error("exchange 2 dropped; drop-response fires once")
+	}
+	if got := base.reached.Load(); got != 3 {
+		t.Errorf("%d requests reached the network, want 3 (the drop must not)", got)
 	}
 }
 
@@ -31,36 +61,69 @@ func TestHTTPScriptWorkerDeath(t *testing.T) {
 	s := NewHTTPScript(Plan{Faults: []Fault{
 		{Kind: FaultWorkerDeath, Nth: 2},
 	}})
-	hook := s.Hook()
+	base := &stubTransport{}
+	rt := s.Transport(base)
+	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if hook("GET", "/v1/version").Drop {
+		if exchange(t, ctx, rt, "GET", "/v1/version") != nil {
 			t.Fatalf("exchange %d dropped before death at 2", i)
 		}
 	}
 	for i := 2; i < 6; i++ {
-		if !hook("GET", "/v1/version").Drop {
+		if exchange(t, ctx, rt, "GET", "/v1/version") == nil {
 			t.Fatalf("exchange %d served after worker death", i)
 		}
+	}
+	if got := base.reached.Load(); got != 2 {
+		t.Errorf("%d requests reached a dead worker's network, want 2", got)
 	}
 }
 
 func TestHTTPScriptDelay(t *testing.T) {
+	const delay = 200 * time.Millisecond
 	s := NewHTTPScript(Plan{Faults: []Fault{
-		{Kind: FaultDelayResponse, Path: "/healthz", Nth: 0, WallDelay: 30 * time.Millisecond},
+		{Kind: FaultDelayResponse, Path: "/healthz", Nth: 0, WallDelay: delay},
 	}})
-	hook := s.Hook()
-	if d := hook("GET", "/healthz").Delay; d != 30*time.Millisecond {
-		t.Errorf("exchange 0 delay = %v, want 30ms", d)
+	rt := s.Transport(&stubTransport{})
+	ctx := context.Background()
+	start := time.Now()
+	if err := exchange(t, ctx, rt, "GET", "/healthz"); err != nil {
+		t.Fatalf("delayed exchange failed: %v", err)
 	}
-	if d := hook("GET", "/healthz").Delay; d != 0 {
-		t.Errorf("exchange 1 delay = %v, want 0", d)
+	if d := time.Since(start); d < delay {
+		t.Errorf("exchange 0 took %v, want a stall of at least %v", d, delay)
+	}
+	start = time.Now()
+	if err := exchange(t, ctx, rt, "GET", "/healthz"); err != nil {
+		t.Fatalf("exchange 1 failed: %v", err)
+	}
+	if d := time.Since(start); d >= delay {
+		t.Errorf("exchange 1 took %v; delay-response fires once", d)
+	}
+
+	// A stall honours the request's context.
+	s = NewHTTPScript(Plan{Faults: []Fault{
+		{Kind: FaultDelayResponse, Nth: 0, WallDelay: time.Hour},
+	}})
+	base := &stubTransport{}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := exchange(t, ctx, s.Transport(base), "GET", "/healthz"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("stalled exchange under a 20ms deadline: err = %v, want DeadlineExceeded", err)
+	}
+	if base.reached.Load() != 0 {
+		t.Error("a request whose context ended during the stall reached the network")
 	}
 }
 
 func TestHTTPScriptNoDispatchFaults(t *testing.T) {
 	s := NewHTTPScript(Plan{Faults: []Fault{{Kind: FaultFail, OSD: 1}}})
-	if s.Hook() != nil {
-		t.Error("hook not nil for a device-only plan; client fast path lost")
+	base := &stubTransport{}
+	if s.Transport(base) != http.RoundTripper(base) {
+		t.Error("transport wrapped for a device-only plan; want base unchanged")
+	}
+	if s.Transport(nil) != http.DefaultTransport {
+		t.Error("nil base should resolve to http.DefaultTransport")
 	}
 }
 
@@ -69,10 +132,11 @@ func TestHTTPScriptExchangeCounting(t *testing.T) {
 		{Kind: FaultDropResponse, Path: "/v1/runs", Nth: 5},
 		{Kind: FaultWorkerDeath, Nth: 99},
 	}})
-	hook := s.Hook()
-	hook("POST", "/v1/runs")
-	hook("GET", "/healthz")
-	hook("GET", "/v1/runs/abc")
+	rt := s.Transport(&stubTransport{})
+	ctx := context.Background()
+	exchange(t, ctx, rt, "POST", "/v1/runs")
+	exchange(t, ctx, rt, "GET", "/healthz")
+	exchange(t, ctx, rt, "GET", "/v1/runs/abc")
 	got := s.Exchanges()
 	if got[0] != 2 { // the two /v1/runs exchanges
 		t.Errorf("fault 0 saw %d exchanges, want 2", got[0])

@@ -31,6 +31,15 @@ type Injector struct {
 	armed     []Fault // migration-fail faults not yet fired
 	planCount int     // MigrationPlan events seen
 	windows   []window
+
+	// moved maps each object that a committed move or rebuild placed
+	// elsewhere to its current OSD; every other object sits at its
+	// placement home.
+	moved map[int64]int
+	// stripeLost records that a data operation started while failed
+	// devices held two columns of its stripe: the one state in which
+	// RAID-5 cannot serve it.
+	stripeLost bool
 }
 
 // NewInjector builds an injector holding the plan's device faults.
@@ -39,7 +48,11 @@ func NewInjector(inner telemetry.Recorder, p Plan) *Injector {
 	if inner == nil {
 		inner = telemetry.Nop{}
 	}
-	return &Injector{Recorder: inner, armed: filterKind(p.DeviceFaults(), FaultMigrationFail)}
+	return &Injector{
+		Recorder: inner,
+		armed:    filterKind(p.DeviceFaults(), FaultMigrationFail),
+		moved:    make(map[int64]int),
+	}
 }
 
 func filterKind(fs []Fault, k FaultKind) []Fault {
@@ -90,6 +103,47 @@ func (in *Injector) DeviceRepair(ev telemetry.DeviceRepair) {
 	in.Recorder.DeviceRepair(ev)
 }
 
+// ObjectMoveCommit notes the object's new device, then forwards.
+func (in *Injector) ObjectMoveCommit(ev telemetry.ObjectMoveCommit) {
+	in.moved[ev.Obj] = ev.Dst
+	in.Recorder.ObjectMoveCommit(ev)
+}
+
+// RebuildObject notes the rebuilt object's new device, then forwards.
+func (in *Injector) RebuildObject(ev telemetry.RebuildObject) {
+	in.moved[ev.Obj] = ev.To
+	in.Recorder.RebuildObject(ev)
+}
+
+// RequestStart checks, while a device is failed, whether the failed
+// devices hold two columns of a data operation's stripe, then forwards.
+func (in *Injector) RequestStart(ev telemetry.RequestStart) {
+	if !in.stripeLost && in.cl != nil && len(in.windows) > 0 && (ev.Op == "read" || ev.Op == "write") {
+		in.stripeLost = in.failedColumns(ev.File) >= 2
+	}
+	in.Recorder.RequestStart(ev)
+}
+
+// failedColumns counts the columns of file's stripe that sit on a
+// currently failed device.
+func (in *Injector) failedColumns(file int64) int {
+	lay := in.cl.Layout()
+	n := 0
+	for j := 0; j < lay.K; j++ {
+		osd, ok := in.moved[file*int64(lay.K)+int64(j)]
+		if !ok {
+			osd = lay.HomeOf(file, j)
+		}
+		for _, w := range in.windows {
+			if w.osd == osd && w.end < 0 {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 // MigrationPlan fires armed migration-window faults: a fault whose
 // round matches schedules its device failure After after the round
 // starts (killing the OSD mid-round), then is disarmed.
@@ -116,7 +170,11 @@ func (in *Injector) MigrationPlan(ev telemetry.MigrationPlan) {
 //   - chaos.lost: operations may be lost only under a double failure
 //     in distinct placement groups (§III.D: no stripe has two objects
 //     in one group, so any single group's failures cost at most one
-//     column per stripe).
+//     column per stripe), or once a data operation started while the
+//     failed devices held two columns of its stripe. The second case
+//     covers CMT, whose cross-group moves can put two columns of a
+//     stripe on one device; where dispersion holds it implies the
+//     first.
 //   - chaos.degraded: degraded-mode service requires a failure window
 //     to exist at all.
 //
@@ -126,9 +184,9 @@ func (in *Injector) MigrationPlan(ev telemetry.MigrationPlan) {
 // scenario runner merges into the same verdict.
 func (in *Injector) Violations(res *cluster.Result) []string {
 	var out []string
-	if res.LostOps > 0 && !in.crossGroupOverlap() {
+	if res.LostOps > 0 && !in.crossGroupOverlap() && !in.stripeLost {
 		out = append(out, fmt.Sprintf(
-			"chaos.lost: %d operations lost without overlapping failures in distinct groups",
+			"chaos.lost: %d operations lost without overlapping failures in distinct groups or two failed columns of one stripe",
 			res.LostOps))
 	}
 	if res.DegradedOps > 0 && len(in.windows) == 0 {

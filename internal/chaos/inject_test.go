@@ -10,6 +10,21 @@ import (
 	"edm/internal/sim"
 )
 
+// runScenarioEnv runs a scenario exactly as RunScenario does (planted
+// bug included) and returns the live pieces with the verdict.
+func runScenarioEnv(t *testing.T, sc Scenario) (*scenarioEnv, *cluster.Result, Verdict) {
+	t.Helper()
+	env, err := sc.build(0)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	res, err := env.cl.RunContext(context.Background())
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return env, res, env.verdict(res)
+}
+
 // baseScenario is a small deterministic workload the injector tests
 // share; faults are layered on per test.
 func baseScenario() Scenario {
@@ -150,5 +165,63 @@ func TestInjectorCrossGroupDoubleFailureLoses(t *testing.T) {
 	// Losses are legitimate here: the invariant must NOT fire.
 	if v := inj.Violations(res); len(v) != 0 {
 		t.Errorf("cross-group double failure flagged as violation: %v", v)
+	}
+}
+
+// TestCMTStripeOnFailedDeviceLosesLegally is the stress-smoke failure
+// of scenario 24 (seed 0xd5336963eefba222), as the shrinker left it:
+// CMT moves object 5 (file 1, column 2) from OSD 0 onto OSD 2, which
+// already holds another column of file 1, and the migration-armed
+// fault then fails OSD 2. Operations on file 1 are lost. That is the
+// model working — CMT moves across groups by design — so the verdict
+// must be clean.
+func TestCMTStripeOnFailedDeviceLosesLegally(t *testing.T) {
+	sc := Scenario{
+		Seed: 0xd5336963eefba222, OSDs: 3, Groups: 3, K: 3,
+		Files: 5, Writes: 355, Reads: 180, Users: 1, Records: 60,
+		Policy: "cmt", Migration: "midpoint", Lambda: 0.20842877543111366,
+		Plan: Plan{Faults: []Fault{{Kind: FaultMigrationFail, OSD: 2}}},
+	}
+	env, res, v := runScenarioEnv(t, sc)
+	if at, ok := env.inj.moved[5]; !ok || at != 2 {
+		t.Fatalf("premise: object 5 at osd %d (moved=%v), want osd 2", at, ok)
+	}
+	if res.LostOps == 0 || !env.inj.stripeLost {
+		t.Fatalf("premise: lost %d ops, stripe loss seen %v; want a loss on a doubly failed stripe",
+			res.LostOps, env.inj.stripeLost)
+	}
+	if !v.OK {
+		t.Errorf("legal CMT loss flagged: %v", v.Violations)
+	}
+}
+
+// TestPlantedBugCaughtUnderCMT: with cross-group moves in play the
+// oracle still catches a miscount. CMT migrates, OSD 7 fails at t=0 so
+// it never takes part in a move, and no stripe ever has two columns on
+// it; the planted bug then reports lost operations that RAID-5 served,
+// and chaos.lost must fire.
+func TestPlantedBugCaughtUnderCMT(t *testing.T) {
+	sc := baseScenario()
+	sc.Policy = "cmt"
+	sc.Migration = "midpoint"
+	sc.PlantBug = PlantBugMiscountLostOps
+	sc.Plan = Plan{Faults: []Fault{{Kind: FaultFail, OSD: 7, At: 0}}}
+	env, res, v := runScenarioEnv(t, sc)
+	if res.MovedObjects == 0 {
+		t.Fatal("premise: CMT moved nothing")
+	}
+	k := int64(sc.K)
+	perFile := map[int64]int{}
+	for _, id := range env.cl.OSD(7).Store.IDs() {
+		if perFile[int64(id)/k]++; perFile[int64(id)/k] > 1 {
+			t.Fatalf("premise: osd 7 holds two columns of file %d", int64(id)/k)
+		}
+	}
+	if res.LostOps == 0 || env.inj.stripeLost {
+		t.Fatalf("premise: lost %d ops, stripe loss seen %v; want miscounted losses only",
+			res.LostOps, env.inj.stripeLost)
+	}
+	if !v.Rules()["chaos.lost"] {
+		t.Errorf("planted bug under CMT not caught: %v", v.Violations)
 	}
 }

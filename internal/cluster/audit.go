@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"edm/internal/object"
+	"edm/internal/temperature"
 )
 
 // Audit verifies the cluster's end-of-run conservation laws and returns
@@ -19,6 +20,9 @@ import (
 //     u_r lies in [0,1).
 //   - objects: each store's directory matches its flash footprint, and
 //     mapped flash pages never exceed the store's allocation.
+//   - temperature: every live store slot's tracker row is bound to the
+//     same object, and the tracker holds no other rows — the replay,
+//     mover and rebuilder address both tables by one handle.
 //   - remap: every object is resident on exactly one OSD, the
 //     remap-aware lookup resolves to that OSD, and every table entry
 //     resolves to a live object.
@@ -66,12 +70,19 @@ func (c *Cluster) Audit() []string {
 				fail("flash: osd %d: measured u_r %v outside [0,1)", o.ID, ur)
 			}
 		}
-		for _, id := range o.Store.IDs() {
+		for _, sl := range o.Store.SortedIndices() {
+			id := o.Store.IDAt(sl)
+			if !o.Tracker.BoundTo(temperature.Slot(sl), temperature.ObjectID(id)) {
+				fail("temperature: osd %d: object %d at store slot %d has no tracker row bound to it", o.ID, id, sl)
+			}
 			if prev, dup := owners[id]; dup {
 				fail("remap: object %d resident on both osd %d and osd %d", id, prev, o.ID)
 				continue
 			}
 			owners[id] = o.ID
+		}
+		if st, tr := o.Store.Len(), o.Tracker.Len(); st != tr {
+			fail("temperature: osd %d: tracker holds %d rows for %d stored objects", o.ID, tr, st)
 		}
 	}
 
@@ -105,7 +116,11 @@ func (c *Cluster) Audit() []string {
 	}
 	for _, id := range c.remap.Entries() {
 		osd := c.locate(id)
-		if osd < 0 || osd >= len(c.osds) || !c.osds[osd].Store.Has(id) {
+		held := false
+		if osd >= 0 && osd < len(c.osds) {
+			_, held = c.osds[osd].Store.Lookup(id)
+		}
+		if !held {
 			fail("remap: entry for object %d resolves to osd %d, which does not hold it", id, osd)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edm/internal/migration"
+	"edm/internal/temperature"
 )
 
 // checkedRun replays the tiny workload under HDF midpoint migration with
@@ -50,6 +51,17 @@ func TestAuditFlagsInjectedCorruption(t *testing.T) {
 		{"round in flight", func(c *Cluster) { c.migrating = true }, "round still in flight"},
 		{"move accounting", func(c *Cluster) { c.movesCommitted++ }, "remap table recorded"},
 		{"lost completion", func(c *Cluster) { c.completedOps-- }, "operations completed"},
+		// The replay, mover and rebuilder address a store slot and its
+		// tracker row by one handle: a live object's row must stay bound
+		// to it, and the tracker may hold no other rows.
+		{"unbound tracker row", func(c *Cluster) {
+			o := c.osds[0]
+			o.Tracker.ForgetAt(temperature.Slot(o.Store.SortedIndices()[0]))
+		}, "has no tracker row bound to it"},
+		{"orphan tracker row", func(c *Cluster) {
+			o := c.osds[0]
+			o.Tracker.InstallAt(temperature.Slot(o.Store.Len()+1000), 1<<40)
+		}, "tracker holds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

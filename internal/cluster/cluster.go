@@ -118,10 +118,9 @@ type Cluster struct {
 	// Dense object metadata tables: every traced object gets a stable
 	// index oi = rank(file)·k + objInFile, where ranks number the trace's
 	// files in ascending-id order — so index order equals object-id
-	// order, which the planners' tiebreak relies on. The replay hot path
-	// resolves owner OSD, store slot and tracker slot by slice indexing
-	// instead of map lookups; ids outside the trace (tests, chaos) fall
-	// back to the ID-keyed shims.
+	// order, which the planners' tiebreak relies on. The replay, the
+	// mover and the rebuilder resolve owner OSD, store slot and tracker
+	// slot by slice indexing (objIndex) instead of map lookups.
 	k         int32
 	fileRanks []int32                // dense file id → rank; -1 for gaps
 	rankByID  map[trace.FileID]int32 // fallback for sparse/huge file ids
@@ -321,7 +320,8 @@ func (c *Cluster) locate(id object.ID) int {
 }
 
 // rankOf returns the file's dense rank, or −1 for files outside the
-// trace.
+// trace. Sparse file ids (a decoded trace may use any int64) resolve
+// through rankByID.
 func (c *Cluster) rankOf(f trace.FileID) int32 {
 	if c.fileRanks != nil {
 		if f < 0 || int64(f) >= int64(len(c.fileRanks)) {
@@ -335,26 +335,16 @@ func (c *Cluster) rankOf(f trace.FileID) int32 {
 	return -1
 }
 
-// indexOf returns the object's dense table index, or −1 for ids outside
-// the trace's object population.
-func (c *Cluster) indexOf(id object.ID) int32 {
-	if id < 0 {
-		return -1
-	}
-	k := int64(c.k)
-	r := c.rankOf(trace.FileID(int64(id) / k))
-	if r < 0 {
-		return -1
-	}
-	return r*c.k + int32(int64(id)%k)
+// objIndex returns the dense table index of traced file f's j-th
+// object: the row of owner, oslot, ohome and oids that describes it.
+func (c *Cluster) objIndex(f trace.FileID, j int) int32 {
+	return c.rankOf(f)*c.k + int32(j)
 }
 
-// ownerOf is locate through the dense table when the object has one.
-func (c *Cluster) ownerOf(id object.ID) int {
-	if oi := c.indexOf(id); oi >= 0 {
-		return int(c.owner[oi])
-	}
-	return c.remap.Lookup(id, c.objectHome(id))
+// indexOf is objIndex for a traced object's id.
+func (c *Cluster) indexOf(id object.ID) int32 {
+	k := int64(c.k)
+	return c.objIndex(trace.FileID(int64(id)/k), int(int64(id)%k))
 }
 
 // buildObjectTables assigns every traced object its dense index and
@@ -491,9 +481,8 @@ func (c *Cluster) buildDevices() error {
 // binding each object's store slot and tracker row to its dense index.
 func (c *Cluster) createFiles() error {
 	for _, f := range c.tr.Files {
-		base := c.rankOf(f.ID) * c.k
 		for idx := 0; idx < c.cfg.ObjectsPerFile; idx++ {
-			oi := base + int32(idx)
+			oi := c.objIndex(f.ID, idx)
 			id := c.oids[oi]
 			osd := c.osds[c.ohome[oi]]
 			objBytes := c.geom.ObjectDataBytes(f.Size, idx)
@@ -515,8 +504,11 @@ func (c *Cluster) createFiles() error {
 // the live objects) so the replay starts in wear steady-state (§IV).
 func (c *Cluster) warmup() {
 	for _, o := range c.osds {
-		ids := o.Store.IDs()
-		if len(ids) == 0 {
+		// Ascending object-id order, so the draws below pick the same
+		// objects whatever slots the store handed out. Writes create and
+		// delete nothing, so the store's slice stays valid throughout.
+		slots := o.Store.SortedIndices()
+		if len(slots) == 0 {
 			continue
 		}
 		stream := c.stream.Split(uint64(o.ID) + 101)
@@ -524,8 +516,8 @@ func (c *Cluster) warmup() {
 		// Populate already wrote the live set once.
 		written := int64(o.SSD.Stats().HostPageWrites)
 		for written < target {
-			id := ids[stream.Intn(len(ids))]
-			pages := o.Store.Pages(id)
+			sl := slots[stream.Intn(len(slots))]
+			pages := o.Store.PagesAt(sl)
 			if pages <= 0 {
 				continue
 			}
@@ -534,7 +526,7 @@ func (c *Cluster) warmup() {
 			if pg+n > pages {
 				n = pages - pg
 			}
-			if _, err := o.Store.Write(id, pg*o.Store.PageSize(), n*o.Store.PageSize()); err != nil {
+			if _, err := o.Store.WriteAt(sl, pg*o.Store.PageSize(), n*o.Store.PageSize()); err != nil {
 				break // device saturated; steady state reached anyway
 			}
 			written += n

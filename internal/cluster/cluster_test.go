@@ -169,7 +169,7 @@ func TestMigrationPreservesObjectsAndData(t *testing.T) {
 	// Every remapped object must live exactly where the table says.
 	for _, id := range cl.Remap().Entries() {
 		osd := cl.Remap().Lookup(id, cl.objectHome(id))
-		if !cl.OSD(osd).Store.Has(id) {
+		if _, ok := cl.OSD(osd).Store.Lookup(id); !ok {
 			t.Fatalf("remapped object %d not on OSD %d", id, osd)
 		}
 	}

@@ -70,12 +70,51 @@ func TestDenseTablesTrackMigrations(t *testing.T) {
 		if got := cl.locate(id); got != own {
 			t.Fatalf("object %d: dense owner %d, locate %d", id, own, got)
 		}
-		if got := cl.ownerOf(id); got != own {
-			t.Fatalf("object %d: ownerOf %d, dense owner %d", id, got, own)
+		if got := cl.indexOf(id); got != int32(oi) {
+			t.Fatalf("object %d: indexOf %d, table row %d", id, got, oi)
 		}
 		slot, ok := cl.osds[own].Store.Lookup(id)
 		if !ok || slot != cl.oslot[oi] {
 			t.Fatalf("object %d: store slot %d (ok=%v), table slot %d", id, slot, ok, cl.oslot[oi])
 		}
+	}
+}
+
+// TestSparseFileIDs runs a trace whose file ids are spread far apart —
+// as a decoded trace may have them — so the dense tables resolve file
+// ranks through rankByID instead of the rank slice. The replay, the HDF
+// mover and the end-of-run audit must all work on that path.
+func TestSparseFileIDs(t *testing.T) {
+	tr := tinyTrace(t, 5)
+	sparse := func(f trace.FileID) trace.FileID { return f*2_000_003 + 7 }
+	for i := range tr.Files {
+		tr.Files[i].ID = sparse(tr.Files[i].ID)
+	}
+	for i := range tr.Records {
+		tr.Records[i].File = sparse(tr.Records[i].File)
+	}
+	cfg := testConfig(16)
+	cfg.Migration = MigrateMidpoint
+	cfg.SelfCheck = true
+	cl, err := New(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.fileRanks != nil || cl.rankByID == nil {
+		t.Fatal("premise: sparse file ids did not select the rankByID path")
+	}
+	cl.SetPlanner(migration.NewHDF(migration.DefaultConfig()))
+	res, err := cl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != len(tr.Records) {
+		t.Errorf("completed %d of %d records", res.Completed, len(tr.Records))
+	}
+	if res.Rejected != 0 {
+		t.Errorf("rejected %d operations", res.Rejected)
+	}
+	if res.MovedObjects == 0 {
+		t.Error("HDF moved no objects; the mover's dense path went unexercised")
 	}
 }

@@ -104,10 +104,11 @@ func (c *Cluster) degradedFanOut(rec trace.Record, now sim.Time) sim.Time {
 	var accs = c.accessesFor(rec)
 	done := now
 	k := c.cfg.ObjectsPerFile
+	base := c.objIndex(rec.File, 0)
 	for _, a := range accs {
-		id := c.objectID(rec.File, a.Obj)
-		if !c.failed[c.ownerOf(id)] {
-			end := c.subOp(id, []raid.Access{a}, now)
+		oi := base + int32(a.Obj)
+		if !c.failed[int(c.owner[oi])] {
+			end := c.subOp(oi, []raid.Access{a}, now)
 			if end > done {
 				done = end
 			}
@@ -121,8 +122,8 @@ func (c *Cluster) degradedFanOut(rec trace.Record, now sim.Time) sim.Time {
 			if j == a.Obj {
 				continue
 			}
-			peer := c.objectID(rec.File, j)
-			if c.failed[c.ownerOf(peer)] {
+			peer := base + int32(j)
+			if c.failed[int(c.owner[peer])] {
 				continue // second failure in this stripe
 			}
 			survivors++
@@ -171,8 +172,9 @@ func (c *Cluster) anyFailedTarget(rec trace.Record) bool {
 	if len(c.failed) == 0 {
 		return false
 	}
+	base := c.objIndex(rec.File, 0)
 	for _, a := range c.accessesFor(rec) {
-		if c.failed[c.ownerOf(c.objectID(rec.File, a.Obj))] {
+		if c.failed[int(c.owner[base+int32(a.Obj)])] {
 			return true
 		}
 	}

@@ -101,25 +101,12 @@ func (c *Cluster) fillSnapshot(snap *migration.Snapshot, devs []migration.Device
 		start := len(objs)
 		for _, sl := range o.Store.SortedIndices() {
 			id := o.Store.IDAt(sl)
-			var ts temperature.Snapshot
-			if o.Tracker.BoundTo(temperature.Slot(sl), temperature.ObjectID(id)) {
-				ts = o.Tracker.QueryAt(temperature.Slot(sl), now)
-			} else {
-				// Object outside the dense slot pairing (tests creating
-				// foreign objects directly on a store).
-				ts = o.Tracker.Query(temperature.ObjectID(id), now)
-			}
+			ts := o.Tracker.QueryAt(temperature.Slot(sl), now)
 			oi := c.indexOf(id)
-			home := 0
-			if oi >= 0 {
-				home = int(c.ohome[oi])
-			} else {
-				home = c.objectHome(id)
-			}
 			objs = append(objs, migration.ObjectInfo{
 				ID:            id,
 				Index:         oi,
-				Home:          home,
+				Home:          int(c.ohome[oi]),
 				Pages:         o.Store.PagesAt(sl),
 				Bytes:         o.Store.SizeAt(sl),
 				Remapped:      c.remap.Contains(id),
@@ -281,8 +268,8 @@ func (c *Cluster) moveObject(m migration.Move, now sim.Time, blocks bool, done f
 	mv := &mover{c: c, m: m, blocks: blocks, done: done}
 
 	srcSlot, ok := src.Store.Lookup(m.Obj)
-	if !ok || dst.Store.Has(m.Obj) ||
-		c.failed[m.Src] || c.failed[m.Dst] {
+	_, onDst := dst.Store.Lookup(m.Obj)
+	if !ok || onDst || c.failed[m.Src] || c.failed[m.Dst] {
 		// The object moved or vanished since planning, or a device
 		// failed in the meantime; skip.
 		mv.abort(now)
@@ -321,20 +308,13 @@ func (c *Cluster) commitMove(mv *mover, at sim.Time) {
 	dst := c.osds[m.Dst]
 
 	src.Store.DeleteIndexed(mv.srcSlot)
-	tsrc := temperature.Slot(mv.srcSlot)
-	tdst := temperature.Slot(mv.dstSlot)
-	if src.Tracker.BoundTo(tsrc, temperature.ObjectID(m.Obj)) {
-		if snap, ok := src.Tracker.ExportAt(tsrc, at); ok {
-			dst.Tracker.ImportAt(tdst, snap, at)
-		}
-	} else if snap, ok := src.Tracker.Export(temperature.ObjectID(m.Obj), at); ok {
-		dst.Tracker.ImportAt(tdst, snap, at)
+	if snap, ok := src.Tracker.ExportAt(temperature.Slot(mv.srcSlot), at); ok {
+		dst.Tracker.ImportAt(temperature.Slot(mv.dstSlot), snap, at)
 	}
-	c.remap.Record(m.Obj, c.objectHome(m.Obj), m.Dst)
-	if oi := c.indexOf(m.Obj); oi >= 0 {
-		c.owner[oi] = int32(m.Dst)
-		c.oslot[oi] = mv.dstSlot
-	}
+	oi := c.indexOf(m.Obj)
+	c.remap.Record(m.Obj, int(c.ohome[oi]), m.Dst)
+	c.owner[oi] = int32(m.Dst)
+	c.oslot[oi] = mv.dstSlot
 	c.movesCommitted++
 	if c.rec != nil {
 		c.rec.ObjectMoveCommit(telemetry.ObjectMoveCommit{

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"edm/internal/migration"
-	"edm/internal/object"
 	"edm/internal/sim"
 	"edm/internal/temperature"
 )
@@ -32,12 +31,13 @@ func TestMoverTransfersObjectWithHistory(t *testing.T) {
 		t.Skip("no objects on OSD 0")
 	}
 	obj := ids[0]
-	pages := src.Store.Pages(obj)
+	slot, _ := src.Store.Lookup(obj)
+	pages := src.Store.PagesAt(slot)
 	// Give the object some temperature history to carry over.
-	src.Tracker.RecordWrite(tempID(obj), 7, 0)
+	src.Tracker.TouchWrite(temperature.Slot(slot), 7, 0)
 
 	dst := 4 // same group as 0 (m=4)
-	m := migration.Move{Obj: obj, Src: 0, Dst: dst, Pages: pages, Bytes: src.Store.Size(obj)}
+	m := migration.Move{Obj: obj, Src: 0, Dst: dst, Pages: pages, Bytes: src.Store.SizeAt(slot)}
 	cl.planner = &stubPlanner{}
 	doneAt := sim.Time(-1)
 	cl.moveObject(m, 0, false, func(at sim.Time) { doneAt = at })
@@ -46,16 +46,20 @@ func TestMoverTransfersObjectWithHistory(t *testing.T) {
 	if doneAt < 0 {
 		t.Fatal("move never completed")
 	}
-	if src.Store.Has(obj) {
+	if _, ok := src.Store.Lookup(obj); ok {
 		t.Fatal("source still holds the object")
 	}
-	if !cl.OSD(dst).Store.Has(obj) {
+	dslot, ok := cl.OSD(dst).Store.Lookup(obj)
+	if !ok {
 		t.Fatal("destination missing the object")
 	}
 	if cl.locate(obj) != dst {
 		t.Fatalf("remap points to %d", cl.locate(obj))
 	}
-	snap := cl.OSD(dst).Tracker.Query(tempID(obj), doneAt)
+	if oi := cl.indexOf(obj); cl.owner[oi] != int32(dst) || cl.oslot[oi] != dslot {
+		t.Fatalf("dense tables say osd %d slot %d, want osd %d slot %d", cl.owner[oi], cl.oslot[oi], dst, dslot)
+	}
+	snap := cl.OSD(dst).Tracker.QueryAt(temperature.Slot(dslot), doneAt)
 	if snap.CumWrites != 7 {
 		t.Fatalf("temperature history lost: %+v", snap)
 	}
@@ -100,24 +104,25 @@ func TestMoverAbortsWhenDestinationFull(t *testing.T) {
 	obj := ids[0]
 	dst := cl.OSD(4)
 	// Exhaust the destination's logical space.
-	if err := dst.Store.Create(424242, dst.Store.CapacityPages()*dst.Store.PageSize()); err != nil {
+	if _, err := dst.Store.CreateIndexed(424242, dst.Store.CapacityPages()*dst.Store.PageSize()); err != nil {
 		// Destination already nearly full — also fine for this test.
 		t.Logf("prefill: %v", err)
 	}
+	slot, _ := src.Store.Lookup(obj)
 	free := dst.Store.CapacityPages() - dst.Store.UsedPages()
-	if free*dst.Store.PageSize() >= src.Store.Size(obj) {
+	if free*dst.Store.PageSize() >= src.Store.SizeAt(slot) {
 		t.Skip("could not exhaust destination")
 	}
 
 	cl.planner = &stubPlanner{}
 	done := false
-	cl.moveObject(migration.Move{Obj: obj, Src: 0, Dst: 4, Pages: src.Store.Pages(obj), Bytes: src.Store.Size(obj)}, 0, true,
+	cl.moveObject(migration.Move{Obj: obj, Src: 0, Dst: 4, Pages: src.Store.PagesAt(slot), Bytes: src.Store.SizeAt(slot)}, 0, true,
 		func(sim.Time) { done = true })
 	cl.eng.Run()
 	if !done {
 		t.Fatal("aborted move never completed its callback")
 	}
-	if !src.Store.Has(obj) {
+	if _, ok := src.Store.Lookup(obj); !ok {
 		t.Fatal("source copy lost on aborted move")
 	}
 	if cl.rejected == 0 {
@@ -211,6 +216,3 @@ func TestBlockedOpsCounted(t *testing.T) {
 		t.Fatalf("%d objects moved but no request ever blocked", res.MovedObjects)
 	}
 }
-
-// tempID converts an object id to its temperature-tracker key.
-func tempID(id object.ID) temperature.ObjectID { return temperature.ObjectID(id) }

@@ -102,22 +102,23 @@ func (c *Cluster) rebuildObject(obj object.ID, failedOSD, dst int, now sim.Time,
 	}
 	size := srcStore.SizeAt(srcSlot)
 	k := c.cfg.ObjectsPerFile
-	file := int64(obj) / int64(k)
+	file := trace.FileID(int64(obj) / int64(k))
 	idx := int(int64(obj) % int64(k))
+	oi := c.objIndex(file, idx)
 
 	// Verify the stripe is reconstructible: all k−1 peers alive.
-	var peerObjs []object.ID
+	var peers []int32
 	for j := 0; j < k; j++ {
 		if j == idx {
 			continue
 		}
-		peer := c.objectID(trace.FileID(file), j)
-		if c.failed[c.ownerOf(peer)] {
+		peer := c.objIndex(file, j)
+		if c.failed[int(c.owner[peer])] {
 			c.unrebuildable++
 			done(now)
 			return
 		}
-		peerObjs = append(peerObjs, peer)
+		peers = append(peers, peer)
 	}
 
 	target := c.osds[dst]
@@ -134,19 +135,12 @@ func (c *Cluster) rebuildObject(obj object.ID, failedOSD, dst int, now sim.Time,
 		if off >= size || size == 0 {
 			// Commit: the object now lives on dst.
 			srcStore.DeleteIndexed(srcSlot) // directory bookkeeping; the device is dead
-			tr := c.osds[failedOSD].Tracker
-			if tr.BoundTo(temperature.Slot(srcSlot), temperature.ObjectID(obj)) {
-				if snap, ok := tr.ExportAt(temperature.Slot(srcSlot), at); ok {
-					target.Tracker.ImportAt(temperature.Slot(tslot), snap, at)
-				}
-			} else if snap, ok := tr.Export(temperature.ObjectID(obj), at); ok {
+			if snap, ok := c.osds[failedOSD].Tracker.ExportAt(temperature.Slot(srcSlot), at); ok {
 				target.Tracker.ImportAt(temperature.Slot(tslot), snap, at)
 			}
-			c.remap.Record(obj, c.objectHome(obj), dst)
-			if oi := c.indexOf(obj); oi >= 0 {
-				c.owner[oi] = int32(dst)
-				c.oslot[oi] = tslot
-			}
+			c.remap.Record(obj, int(c.ohome[oi]), dst)
+			c.owner[oi] = int32(dst)
+			c.oslot[oi] = tslot
 			c.rebuilt++
 			c.rebuiltBytes += size
 			if c.rec != nil {
@@ -164,13 +158,13 @@ func (c *Cluster) rebuildObject(obj object.ID, failedOSD, dst int, now sim.Time,
 		// Reconstruction reads on every surviving stripe member, in
 		// parallel across their queues.
 		readDone := at
-		for _, peer := range peerObjs {
-			osd := c.osds[c.ownerOf(peer)]
+		for _, peer := range peers {
+			osd := c.osds[c.owner[peer]]
 			start := at
 			if osd.busyUntil > start {
 				start = osd.busyUntil
 			}
-			lat, _ := osd.Store.Read(peer, off, n)
+			lat, _ := osd.Store.ReadAt(c.oslot[peer], off, n)
 			lat = osd.scaledLat(lat, at)
 			end := start + c.cfg.NetOverhead + lat
 			osd.busyUntil = end

@@ -44,7 +44,7 @@ func TestRebuildRestoresFullService(t *testing.T) {
 		if loc == 3 {
 			t.Fatalf("object %d still routed to the failed device", id)
 		}
-		if !cl.OSD(loc).Store.Has(id) {
+		if _, ok := cl.OSD(loc).Store.Lookup(id); !ok {
 			t.Fatalf("object %d missing at %d", id, loc)
 		}
 		if cl.layout.GroupOf(loc) != cl.layout.GroupOf(3) && cl.objectHome(id) != loc {

@@ -529,13 +529,9 @@ func (c *Cluster) executeWrite(rec trace.Record, now sim.Time) sim.Time {
 // only reads it.
 func (c *Cluster) fanOut(file trace.FileID, accs []raid.Access, now sim.Time) sim.Time {
 	done := now
-	// Resolve the file's dense object-index base once; every traced
-	// record hits this path (trace validation couples records to declared
-	// files), the id-deriving fallback only serves hand-built callers.
-	base := int32(-1)
-	if r := c.rankOf(file); r >= 0 {
-		base = r * c.k
-	}
+	// Resolve the file's dense object-index base once (trace validation
+	// couples every record to a declared file).
+	base := c.objIndex(file, 0)
 	// Group accesses by object index, preserving order. K is small
 	// (paper: 4), so a linear scan beats a map.
 	var seen [16]bool
@@ -553,12 +549,7 @@ func (c *Cluster) fanOut(file trace.FileID, accs []raid.Access, now sim.Time) si
 			}
 		}
 		c.groupBuf = group[:0]
-		var end sim.Time
-		if base >= 0 {
-			end = c.subOpAt(base+int32(a.Obj), group, now)
-		} else {
-			end = c.subOp(c.objectID(file, a.Obj), group, now)
-		}
+		end := c.subOp(base+int32(a.Obj), group, now)
 		if end > done {
 			done = end
 		}
@@ -567,55 +558,14 @@ func (c *Cluster) fanOut(file trace.FileID, accs []raid.Access, now sim.Time) si
 }
 
 // subOp performs one object-level sub-operation (a batch of ranges on
-// one object) through the owning OSD's serial queue and returns its
-// completion time. Flash state is mutated eagerly (admission order
-// equals service order under the serial-queue model); completion time
-// reflects queueing, HDF locks, the fixed overhead, and the device
-// latency.
-func (c *Cluster) subOp(id object.ID, accs []raid.Access, now sim.Time) sim.Time {
-	if oi := c.indexOf(id); oi >= 0 {
-		return c.subOpAt(oi, accs, now)
-	}
-	// ID-keyed fallback for objects outside the dense tables.
-	osd := c.osds[c.locate(id)]
-	start := now
-	if osd.busyUntil > start {
-		start = osd.busyUntil
-	}
-	ps := osd.Store.PageSize()
-	var dev sim.Time
-	for _, a := range accs {
-		if a.PreRead {
-			lat, err := osd.Store.Read(id, a.Offset, a.Length)
-			if err == nil {
-				dev += lat
-			}
-			if !a.Write {
-				osd.Tracker.RecordRead(temperature.ObjectID(id), int(pagesOf(a.Length, ps)), now)
-			}
-		}
-		if a.Write {
-			lat, err := osd.Store.Write(id, a.Offset, a.Length)
-			dev += lat
-			if err != nil {
-				c.rejected++
-			} else {
-				osd.Tracker.RecordWrite(temperature.ObjectID(id), int(pagesOf(a.Length, ps)), now)
-				if c.rec != nil {
-					c.rec.FlashWrite(telemetry.FlashWrite{
-						T: now, OSD: osd.ID, Obj: int64(id), Pages: pagesOf(a.Length, ps),
-					})
-				}
-			}
-		}
-	}
-	return c.finishSubOp(osd, dev, start, now)
-}
-
-// subOpAt is subOp for a dense-table object: owner, store slot and
-// tracker slot come straight off the tables, so the entire sub-operation
-// performs no map lookups and no allocations.
-func (c *Cluster) subOpAt(oi int32, accs []raid.Access, now sim.Time) sim.Time {
+// the object at dense index oi) through the owning OSD's serial queue
+// and returns its completion time. Flash state is mutated eagerly
+// (admission order equals service order under the serial-queue model);
+// completion time reflects queueing, HDF locks, the fixed overhead, and
+// the device latency. Owner, store slot and tracker slot come straight
+// off the dense tables, so the sub-operation performs no map lookups
+// and no allocations.
+func (c *Cluster) subOp(oi int32, accs []raid.Access, now sim.Time) sim.Time {
 	osd := c.osds[c.owner[oi]]
 	slot := c.oslot[oi]
 	tslot := temperature.Slot(slot)

@@ -1,15 +1,11 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -24,14 +20,15 @@ type ClientConfig struct {
 	BaseURL string
 	// HTTP is the underlying client (default: a plain http.Client;
 	// per-call deadlines come from contexts, not a client timeout).
+	// Fault-injection tests install chaos.HTTPScript's transport here.
 	HTTP *http.Client
-	// MaxRetries bounds the transient-failure retries per HTTP call
+	// MaxRetries bounds the transient-failure retries per call
 	// (default 4; the first attempt is not a retry).
 	MaxRetries int
 	// RetryBase/RetryMax shape the backoff between retries: the delay
 	// doubles from RetryBase, is capped at RetryMax, and is jittered
-	// to half-to-full value (defaults 50ms / 2s). A 429 or 503 with
-	// Retry-After overrides the computed delay.
+	// to half-to-full value (defaults 50ms / 2s). A server-sent retry
+	// hint (Retry-After) overrides the computed delay.
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// PollInterval is the job-status polling cadence while a submitted
@@ -45,30 +42,9 @@ type ClientConfig struct {
 	// Tenant is the fair-share accounting identity stamped on every
 	// cell this client submits (empty: the worker's default tenant).
 	Tenant string
-	// FaultHook, when non-nil, is consulted before every HTTP attempt
-	// (including retries) with the request's method and path. It exists
-	// for fault-injection tests: a Drop verdict makes the attempt fail
-	// as if the response was lost in transit (retryable, wrapping
-	// ErrUnavailable), and a Delay stalls the attempt first —
-	// context-aware, so deadlines still fire during an injected stall.
-	// Production configs leave it nil; it costs nothing when unset.
-	FaultHook func(method, path string) RequestFault
-}
-
-// RequestFault is a FaultHook verdict for one HTTP attempt.
-type RequestFault struct {
-	// Drop fails the attempt without touching the network, as if the
-	// worker's response never arrived.
-	Drop bool
-	// Delay stalls the attempt before it is issued (applied before
-	// Drop is evaluated, mimicking a response lost after a slow path).
-	Delay time.Duration
 }
 
 func (c *ClientConfig) applyDefaults() {
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{}
-	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 4
 	}
@@ -83,132 +59,53 @@ func (c *ClientConfig) applyDefaults() {
 	}
 }
 
-// Client is a typed HTTP client for one edmd worker. It is safe for
-// concurrent use; Retries exposes how many transient-failure retries
-// it has performed (the coordinator's per-worker counter).
+// Client runs cells on one edmd worker. It is server.Client plus the
+// coordinator's policy: retries with capped, jittered backoff, polling
+// until a job is terminal, and checkpoint stashing. It is safe for
+// concurrent use; Retries exposes how many retries it has performed
+// (the coordinator's per-worker counter).
 type Client struct {
 	cfg ClientConfig
+	api *server.Client
 
-	// Retries counts HTTP attempts beyond the first, across all calls.
+	// Retries counts attempts beyond the first, across all calls.
 	Retries atomic.Uint64
 }
 
 // NewClient builds a client for the worker at cfg.BaseURL.
 func NewClient(cfg ClientConfig) *Client {
 	cfg.applyDefaults()
-	cfg.BaseURL = strings.TrimRight(cfg.BaseURL, "/")
-	return &Client{cfg: cfg}
+	return &Client{cfg: cfg, api: server.NewClient(cfg.BaseURL, cfg.HTTP)}
 }
 
 // BaseURL returns the worker's root URL.
-func (c *Client) BaseURL() string { return c.cfg.BaseURL }
-
-// Health is the GET /healthz body.
-type Health struct {
-	Status        string  `json:"status"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Workers       int     `json:"workers"`
-	Running       int64   `json:"running"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCapacity int     `json:"queue_capacity"`
-}
-
-// OK reports whether the worker is accepting work (not draining).
-func (h Health) OK() bool { return h.Status == "ok" }
+func (c *Client) BaseURL() string { return c.api.BaseURL() }
 
 // Health probes GET /healthz once — no retries; the caller is usually
 // deciding liveness and wants the answer now. A draining worker (503
 // with a JSON body) decodes successfully with OK() == false.
-func (c *Client) Health(ctx context.Context) (Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/healthz", nil)
-	if err != nil {
-		return Health{}, err
-	}
-	resp, err := c.cfg.HTTP.Do(req)
-	if err != nil {
-		return Health{}, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.cfg.BaseURL, err)
-	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return Health{}, fmt.Errorf("%w: %s: bad healthz body: %v", ErrUnavailable, c.cfg.BaseURL, err)
-	}
-	return h, nil
+func (c *Client) Health(ctx context.Context) (server.HealthInfo, error) {
+	return c.api.Health(ctx)
 }
 
 // Version fetches GET /v1/version (with retries: it is part of fleet
 // bring-up, where a worker may still be binding its listener).
 func (c *Client) Version(ctx context.Context) (server.VersionInfo, error) {
 	var v server.VersionInfo
-	err := c.do(ctx, http.MethodGet, "/v1/version", nil, &v)
+	err := c.retry(ctx, func() (err error) {
+		v, err = c.api.Version(ctx)
+		return err
+	})
 	return v, err
-}
-
-// Submit posts one run request and returns the accepted job's status.
-// Queue-full (429) and transient failures are retried; exhausted
-// retries surface as ErrUnavailable.
-func (c *Client) Submit(ctx context.Context, req server.RunRequest) (server.JobStatus, error) {
-	var st server.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/runs", req, &st)
-	return st, err
-}
-
-// Status fetches one job's status; once the job is done the result is
-// attached.
-func (c *Client) Status(ctx context.Context, id string) (server.JobStatus, *edm.Result, error) {
-	var view server.RunView
-	if err := c.do(ctx, http.MethodGet, "/v1/runs/"+id, nil, &view); err != nil {
-		return server.JobStatus{}, nil, err
-	}
-	return view.JobStatus, view.Result, nil
-}
-
-// Checkpoint requests an on-demand checkpoint of a running job and
-// returns the digest-sealed frame. Single attempt, like Health: the
-// caller is stashing resume state on a cadence and prefers a quick
-// miss over a retry storm against a dying worker. ErrNoCheckpoint
-// when the job finished without a frame.
-func (c *Client) Checkpoint(ctx context.Context, id string) ([]byte, error) {
-	return c.frame(ctx, http.MethodPost, "/v1/runs/"+id+"/checkpoint")
-}
-
-// LatestCheckpoint fetches the newest cadence frame without perturbing
-// the run; server.ErrNoCheckpoint when the run has not checkpointed.
-func (c *Client) LatestCheckpoint(ctx context.Context, id string) ([]byte, error) {
-	return c.frame(ctx, http.MethodGet, "/v1/runs/"+id+"/checkpoint")
-}
-
-func (c *Client) frame(ctx context.Context, method, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.cfg.HTTP.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.cfg.BaseURL, err)
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNoContent:
-		return nil, server.ErrNoCheckpoint
-	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		return io.ReadAll(resp.Body)
-	default:
-		return nil, fmt.Errorf("dispatch: %s: %s %s: %s: %s",
-			c.cfg.BaseURL, method, path, resp.Status, apiErrorText(resp.Body))
-	}
-}
-
-// Cancel requests cancellation of a job (best effort: a terminal job
-// is left as is).
-func (c *Client) Cancel(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/runs/"+id, nil, nil)
 }
 
 // Run executes one request end to end: submit, poll until terminal,
 // return the result. A job the worker reports as failed or cancelled
 // returns an error wrapping ErrRunFailed; a worker that stops
-// answering returns one wrapping ErrUnavailable.
+// answering, or forgets the job, returns one wrapping ErrUnavailable.
+// Other API errors keep their *server.APIError type and its sentinel,
+// so errors.Is(err, edm.ErrUnknownWorkload) holds for a refused
+// submission.
 func (c *Client) Run(ctx context.Context, req server.RunRequest) (*edm.Result, error) {
 	return c.run(ctx, req, nil)
 }
@@ -218,8 +115,11 @@ func (c *Client) Run(ctx context.Context, req server.RunRequest) (*edm.Result, e
 // frame and hands it to onFrame. Frame fetches are best effort — a
 // miss (no frame yet, worker wobble) never fails the run.
 func (c *Client) run(ctx context.Context, req server.RunRequest, onFrame func([]byte)) (*edm.Result, error) {
-	st, err := c.Submit(ctx, req)
-	if err != nil {
+	var st server.JobStatus
+	if err := c.retry(ctx, func() (err error) {
+		st, err = c.api.Submit(ctx, req)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	tick := time.NewTicker(c.cfg.PollInterval)
@@ -230,23 +130,33 @@ func (c *Client) run(ctx context.Context, req server.RunRequest, onFrame func([]
 			return nil, ctx.Err()
 		case <-tick.C:
 		}
-		cur, res, err := c.Status(ctx, st.ID)
+		var view server.RunView
+		err := c.retry(ctx, func() (err error) {
+			view, err = c.api.Status(ctx, st.ID)
+			return err
+		})
+		if errors.Is(err, server.ErrUnknownJob) {
+			// The worker accepted this job and has since forgotten it:
+			// it restarted without its state. That is a worker fault,
+			// not a run failure, so the cell is requeued.
+			return nil, fmt.Errorf("%w: %s lost job %s: %w", ErrUnavailable, c.BaseURL(), st.ID, err)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if onFrame != nil && cur.State == server.StateRunning {
-			if frame, err := c.LatestCheckpoint(ctx, st.ID); err == nil && len(frame) > 0 {
+		if onFrame != nil && view.State == server.StateRunning {
+			if frame, err := c.api.LatestCheckpoint(ctx, st.ID); err == nil && len(frame) > 0 {
 				onFrame(frame)
 			}
 		}
-		switch cur.State {
+		switch view.State {
 		case server.StateDone:
-			if res == nil {
-				return nil, fmt.Errorf("%w: %s: job %s done without result", ErrUnavailable, c.cfg.BaseURL, st.ID)
+			if view.Result == nil {
+				return nil, fmt.Errorf("%w: %s: job %s done without result", ErrUnavailable, c.BaseURL(), st.ID)
 			}
-			return res, nil
+			return view.Result, nil
 		case server.StateFailed, server.StateCancelled:
-			return nil, fmt.Errorf("%w: job %s %s on %s: %s", ErrRunFailed, st.ID, cur.State, c.cfg.BaseURL, cur.Error)
+			return nil, fmt.Errorf("%w: job %s %s on %s: %s", ErrRunFailed, st.ID, view.State, c.BaseURL(), view.Error)
 		}
 	}
 }
@@ -303,19 +213,13 @@ func RequestForCell(spec experiment.CellSpec) server.RunRequest {
 	}
 }
 
-// do performs one JSON request/response exchange with the retry
-// policy: transport errors, 5xx and 429 are retried with capped
-// exponential backoff + jitter (Retry-After, integer seconds per RFC
-// 9110, overrides the wait when present); other 4xx are permanent.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return err
-		}
-	}
-	var lastErr error
+// retry runs call under the retry policy. Transport failures and
+// temporary API errors (429, 5xx) are retried with capped exponential
+// backoff plus jitter, or after the server's retry hint when it sent
+// one; exhausted retries return an error wrapping both ErrUnavailable
+// and the last failure. Other API errors are permanent and come back
+// unchanged.
+func (c *Client) retry(ctx context.Context, call func() error) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			c.Retries.Add(1)
@@ -323,79 +227,43 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		retryIn, err := c.attempt(ctx, method, path, body, out)
+		err := call()
 		if err == nil {
 			return nil
 		}
-		lastErr = err
-		if retryIn < 0 || attempt >= c.cfg.MaxRetries { // permanent, or out of retries
-			if retryIn < 0 {
-				return err
-			}
-			return fmt.Errorf("%w: %s: %d attempts: %v", ErrUnavailable, c.cfg.BaseURL, attempt+1, lastErr)
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
-		if retryIn == 0 {
-			retryIn = c.backoff(attempt)
+		wait, ok := c.retryWait(err, attempt)
+		if !ok {
+			return err
+		}
+		if attempt >= c.cfg.MaxRetries {
+			return fmt.Errorf("%w: %s: %d attempts: %w", ErrUnavailable, c.BaseURL(), attempt+1, err)
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(retryIn):
+		case <-time.After(wait):
 		}
 	}
 }
 
-// attempt performs one HTTP exchange. The returned duration encodes
-// the retry decision: <0 permanent failure, 0 retryable (use computed
-// backoff), >0 retryable after exactly that wait (server-provided).
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) (time.Duration, error) {
-	if hook := c.cfg.FaultHook; hook != nil {
-		f := hook(method, path)
-		if f.Delay > 0 {
-			select {
-			case <-ctx.Done():
-				return -1, ctx.Err()
-			case <-time.After(f.Delay):
-			}
+// retryWait decides whether a failed attempt is worth retrying and how
+// long to wait first: an API error is retried only when Temporary,
+// after its RetryAfter when the server sent one; anything else failed
+// in transport or decoding and is retried after the computed backoff.
+func (c *Client) retryWait(err error, attempt int) (time.Duration, bool) {
+	var apiErr *server.APIError
+	if errors.As(err, &apiErr) {
+		if !apiErr.Temporary() {
+			return 0, false
 		}
-		if f.Drop {
-			return 0, fmt.Errorf("%w: %s: injected response drop (%s %s)", ErrUnavailable, c.cfg.BaseURL, method, path)
+		if apiErr.RetryAfter > 0 {
+			return apiErr.RetryAfter, true
 		}
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
-	if err != nil {
-		return -1, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.cfg.HTTP.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return -1, ctx.Err()
-		}
-		return 0, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.cfg.BaseURL, err)
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		if out == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			return 0, nil
-		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return 0, fmt.Errorf("%w: %s: decoding %s %s: %v", ErrUnavailable, c.cfg.BaseURL, method, path, err)
-		}
-		return 0, nil
-	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-		return retryAfter(resp), fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, apiErrorText(resp.Body))
-	default:
-		return -1, fmt.Errorf("dispatch: %s: %s %s: %s: %s", c.cfg.BaseURL, method, path, resp.Status, apiErrorText(resp.Body))
-	}
+	return c.backoff(attempt), true
 }
 
 // backoff computes the jittered exponential delay for a retry attempt:
@@ -406,42 +274,4 @@ func (c *Client) backoff(attempt int) time.Duration {
 		d = c.cfg.RetryMax
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// retryAfter parses a Retry-After header as the integer seconds RFC
-// 9110 specifies (0 when absent or malformed).
-func retryAfter(resp *http.Response) time.Duration {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
-// apiErrorText extracts the server's error-envelope message
-// ({"code","message",...}, prefixed with the code when present),
-// accepting the legacy {"error": ...} shape and falling back to the
-// raw body for proxy-generated text.
-func apiErrorText(r io.Reader) string {
-	raw, _ := io.ReadAll(io.LimitReader(r, 4<<10))
-	var e struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-		Error   string `json:"error"`
-	}
-	if json.Unmarshal(raw, &e) == nil {
-		switch {
-		case e.Code != "" && e.Message != "":
-			return e.Code + ": " + e.Message
-		case e.Message != "":
-			return e.Message
-		case e.Error != "":
-			return e.Error
-		}
-	}
-	return strings.TrimSpace(string(raw))
 }

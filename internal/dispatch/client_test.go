@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"edm"
 	"edm/internal/server"
 )
 
@@ -50,22 +52,26 @@ func TestClientPermanent4xxDoesNotRetry(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "no such run"})
+		w.WriteHeader(http.StatusBadRequest)
+		json.NewEncoder(w).Encode(server.ErrorBody{Code: "bad_request", Message: "scale must be positive"})
 	}))
 	defer ts.Close()
 
 	cfg := fastClient()
 	cfg.BaseURL = ts.URL
 	c := NewClient(cfg)
-	_, _, err := c.Status(context.Background(), "nope")
+	_, err := c.Run(context.Background(), server.RunRequest{Workload: "home02", Scale: -1})
 	if err == nil {
 		t.Fatal("want error")
 	}
 	if errors.Is(err, ErrUnavailable) {
 		t.Errorf("4xx misclassified as unavailability: %v", err)
 	}
-	if !strings.Contains(err.Error(), "no such run") {
+	var ae *server.APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest {
+		t.Errorf("err = %v, want the worker's *server.APIError with status 400", err)
+	}
+	if !strings.Contains(err.Error(), "scale must be positive") {
 		t.Errorf("server's error message lost: %v", err)
 	}
 	if got := calls.Load(); got != 1 {
@@ -91,69 +97,71 @@ func TestClientExhaustsRetriesAsUnavailable(t *testing.T) {
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
+	var ae *server.APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadGateway {
+		t.Errorf("err = %v, want the last attempt's *server.APIError (502) wrapped", err)
+	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("server saw %d calls, want 3 (1 + MaxRetries)", got)
 	}
 }
 
-// TestAttemptHonoursRetryAfter pins the 429 contract end to end at the
-// attempt level: a Retry-After of integer seconds (RFC 9110) becomes
-// exactly that wait, overriding the computed backoff; absence of the
-// header means "use the computed backoff" (a zero return).
+// TestAttemptHonoursRetryAfter pins the 429 contract at the retry
+// level: a server retry hint (Retry-After, integer seconds per RFC
+// 9110) becomes exactly the wait before the next attempt, overriding
+// the computed backoff; without one the computed backoff applies, and
+// a permanent error is not retried at all.
 func TestAttemptHonoursRetryAfter(t *testing.T) {
-	var withHeader atomic.Bool
+	cfg := fastClient() // computed backoff never exceeds 4ms
+	c := NewClient(cfg)
+	for _, tc := range []struct {
+		name  string
+		err   error
+		retry bool
+		hint  time.Duration // 0: any computed backoff
+	}{
+		{"hinted 429", &server.APIError{StatusCode: http.StatusTooManyRequests, RetryAfter: 7 * time.Second}, true, 7 * time.Second},
+		{"hinted 503", &server.APIError{StatusCode: http.StatusServiceUnavailable, RetryAfter: time.Second}, true, time.Second},
+		{"bare 429", &server.APIError{StatusCode: http.StatusTooManyRequests}, true, 0},
+		{"transport", errors.New("connection refused"), true, 0},
+		{"permanent 404", &server.APIError{StatusCode: http.StatusNotFound, RetryAfter: time.Second}, false, 0},
+	} {
+		wait, retry := c.retryWait(tc.err, 0)
+		switch {
+		case retry != tc.retry:
+			t.Errorf("%s: retry = %v, want %v", tc.name, retry, tc.retry)
+		case tc.hint > 0 && wait != tc.hint:
+			t.Errorf("%s: wait = %v, want the server's %v", tc.name, wait, tc.hint)
+		case tc.retry && tc.hint == 0 && (wait <= 0 || wait > cfg.RetryMax):
+			t.Errorf("%s: wait = %v, want a computed backoff in (0, %v]", tc.name, wait, cfg.RetryMax)
+		}
+	}
+
+	// End to end: a 429 carrying Retry-After: 1 holds the retry back a
+	// full second, although the computed backoff would be milliseconds.
+	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if withHeader.Load() {
-			w.Header().Set("Retry-After", "7")
+		if calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			json.NewEncoder(w).Encode(server.ErrorBody{Code: "queue_full", Message: "queue is full"})
+			return
 		}
-		w.WriteHeader(http.StatusTooManyRequests)
-		json.NewEncoder(w).Encode(map[string]string{"error": "queue full"})
+		json.NewEncoder(w).Encode(server.VersionInfo{Service: "edmd"})
 	}))
 	defer ts.Close()
-
-	cfg := fastClient()
 	cfg.BaseURL = ts.URL
-	c := NewClient(cfg)
-
-	withHeader.Store(true)
-	wait, err := c.attempt(context.Background(), http.MethodGet, "/v1/version", nil, nil)
-	if err == nil {
-		t.Fatal("want error from 429")
+	c = NewClient(cfg)
+	start := time.Now()
+	if _, err := c.Version(context.Background()); err != nil {
+		t.Fatalf("Version after one 429: %v", err)
 	}
-	if wait != 7*time.Second {
-		t.Errorf("wait = %v, want 7s from Retry-After", wait)
+	if d := time.Since(start); d < time.Second {
+		t.Errorf("retry came after %v, want the 1s Retry-After honoured", d)
 	}
-
-	withHeader.Store(false)
-	wait, err = c.attempt(context.Background(), http.MethodGet, "/v1/version", nil, nil)
-	if err == nil {
-		t.Fatal("want error from 429")
-	}
-	if wait != 0 {
-		t.Errorf("wait = %v, want 0 (computed backoff) without Retry-After", wait)
-	}
-}
-
-func TestRetryAfterParsing(t *testing.T) {
-	for _, tc := range []struct {
-		header string
-		want   time.Duration
-	}{
-		{"", 0},
-		{"1", time.Second},
-		{"30", 30 * time.Second},
-		{"-5", 0},
-		{"soon", 0},
-		{"1.5", 0}, // RFC 9110 delay-seconds is an integer
-	} {
-		resp := &http.Response{Header: http.Header{}}
-		if tc.header != "" {
-			resp.Header.Set("Retry-After", tc.header)
-		}
-		if got := retryAfter(resp); got != tc.want {
-			t.Errorf("retryAfter(%q) = %v, want %v", tc.header, got, tc.want)
-		}
+	if got := c.Retries.Load(); got != 1 {
+		t.Errorf("Retries = %d, want 1", got)
 	}
 }
 
@@ -178,7 +186,7 @@ func TestHealthDecodesDrainingWorker(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(Health{Status: "draining", Workers: 2})
+		json.NewEncoder(w).Encode(server.HealthInfo{Status: "draining", Workers: 2})
 	}))
 	defer ts.Close()
 
@@ -260,21 +268,40 @@ func TestCellSubmitCarriesSchedulingIdentity(t *testing.T) {
 	}
 }
 
-// TestAPIErrorText covers the envelope, legacy and raw-text decode
-// paths of the error extractor.
+// TestAPIErrorText pins what a worker's permanent error looks like to
+// the coordinator: the envelope's code and message survive as a typed
+// *server.APIError carrying its sentinel, and a body that is not an
+// envelope (proxy text, unrelated JSON) survives verbatim as the
+// message.
 func TestAPIErrorText(t *testing.T) {
 	for _, tc := range []struct {
-		body string
-		want string
+		body     string
+		code     string
+		message  string
+		sentinel error
 	}{
-		{`{"code":"queue_full","message":"queue is full","retry_after_s":2}`, "queue_full: queue is full"},
-		{`{"message":"just a message"}`, "just a message"},
-		{`{"error":"legacy shape"}`, "legacy shape"},
-		{"plain proxy text\n", "plain proxy text"},
-		{`{"unrelated":true}`, `{"unrelated":true}`},
+		{`{"code":"unknown_workload","message":"no such workload"}`, "unknown_workload", "no such workload", edm.ErrUnknownWorkload},
+		{"plain proxy text\n", "", "plain proxy text", nil},
+		{`{"unrelated":true}`, "", `{"unrelated":true}`, nil},
 	} {
-		if got := apiErrorText(strings.NewReader(tc.body)); got != tc.want {
-			t.Errorf("apiErrorText(%q) = %q, want %q", tc.body, got, tc.want)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusBadRequest)
+			io.WriteString(w, tc.body)
+		}))
+		cfg := fastClient()
+		cfg.BaseURL = ts.URL
+		_, err := NewClient(cfg).Run(context.Background(), server.RunRequest{Workload: "nope"})
+		ts.Close()
+		var ae *server.APIError
+		if !errors.As(err, &ae) {
+			t.Errorf("body %q: err = %v, want a *server.APIError", tc.body, err)
+			continue
+		}
+		if ae.Code != tc.code || ae.Message != tc.message {
+			t.Errorf("body %q: code %q message %q, want %q / %q", tc.body, ae.Code, ae.Message, tc.code, tc.message)
+		}
+		if tc.sentinel != nil && !errors.Is(err, tc.sentinel) {
+			t.Errorf("body %q: errors.Is(err, %v) = false", tc.body, tc.sentinel)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package dispatch is the distributed sweep coordinator: it shards an
 // experiment matrix into independent cell specs, fans them out over a
-// fleet of edmd workers through a typed retrying HTTP client, and
-// reassembles the results into the exact []experiment.Cell a local
-// Matrix run would have produced.
+// fleet of edmd workers, and reassembles the results into the exact
+// []experiment.Cell a local Matrix run would have produced. Its Client
+// speaks /v1 through server.Client and adds only the coordinator's
+// policy: retries, polling, and checkpoint stashing.
 //
 // The design leans on one property of the simulation: a cell's result
 // is a pure function of its CellSpec. That makes every fault-tolerance
@@ -19,9 +20,10 @@
 //   - transient faults (connection refused/reset, 5xx, 429): the
 //     Client retries with capped exponential backoff + jitter,
 //     honouring Retry-After on 429/503;
-//   - worker faults (retries exhausted, worker draining or dead): the
-//     Pool marks the worker unhealthy, reassigns its in-flight cells
-//     to the rest of the fleet, and re-probes /healthz until the
+//   - worker faults (retries exhausted, worker draining or dead, or a
+//     worker that restarted and answers 404 for a job it accepted):
+//     the Pool marks the worker unhealthy, reassigns its in-flight
+//     cells to the rest of the fleet, and re-probes /healthz until the
 //     worker returns;
 //   - stragglers: a cell in flight longer than HedgeAfter is launched
 //     a second time elsewhere, first completion wins;

@@ -14,12 +14,16 @@ package dispatch
 //   - 429:    submissions are refused busy, with Retry-After
 //   - die:    the test closes the worker's listener (kill())
 //   - drain:  /healthz answers 503 draining
+//   - forget: the worker drops every job it accepted (forgetJobs()), as
+//     an edmd restarted without -state-dir does; status polls for them
+//     answer 404 not_found
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,18 +134,33 @@ func newFakeWorker(fleet *fakeFleet) *fakeWorker {
 
 func (w *fakeWorker) url() string { return w.ts.URL }
 
+// host returns the worker's host:port, as requests to it carry it.
+func (w *fakeWorker) host() string { return strings.TrimPrefix(w.ts.URL, "http://") }
+
 // kill closes the worker's listener: every in-flight and future call
 // fails at the transport, exactly like a crashed process.
 func (w *fakeWorker) kill() { w.ts.Close() }
+
+// forgetJobs drops every job the worker accepted, like an edmd that
+// restarted without -state-dir: the listener stays up, and status
+// polls for the old ids answer 404 not_found. It returns how many jobs
+// were dropped.
+func (w *fakeWorker) forgetJobs() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := len(w.jobs)
+	w.jobs = map[string]*fakeJob{}
+	return n
+}
 
 func (w *fakeWorker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/json")
 	if w.mode.Load() == modeDrain {
 		rw.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(rw).Encode(Health{Status: "draining", Workers: 1})
+		json.NewEncoder(rw).Encode(server.HealthInfo{Status: "draining", Workers: 1})
 		return
 	}
-	json.NewEncoder(rw).Encode(Health{Status: "ok", Workers: 1})
+	json.NewEncoder(rw).Encode(server.HealthInfo{Status: "ok", Workers: 1})
 }
 
 func (w *fakeWorker) handleVersion(rw http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"net/http"
 	"reflect"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"edm"
+	"edm/internal/chaos"
 	"edm/internal/experiment"
 )
 
@@ -164,6 +166,139 @@ func TestWorkerKilledMidCellReassignedOnce(t *testing.T) {
 	}
 	if got := p.reassigns.Load(); got != 1 {
 		t.Errorf("pool reassign counter = %d, want 1", got)
+	}
+}
+
+// TestRestartedWorkerRequeuesCell: a worker that restarts mid-cell
+// without its state answers 404 for the job it accepted. That is a
+// worker fault, so the cell is requeued and finishes on a second
+// launch instead of failing as if the run itself had failed.
+func TestRestartedWorkerRequeuesCell(t *testing.T) {
+	// The first execution stalls until its worker forgets it; any later
+	// execution completes immediately.
+	fleet := newFakeFleet(func(workload string, n int) time.Duration {
+		if n == 1 {
+			return -1
+		}
+		return 0
+	})
+	w1, w2 := newFakeWorker(fleet), newFakeWorker(fleet)
+	defer w1.kill()
+	defer w2.kill()
+	workers := map[string]*fakeWorker{w1.url(): w1, w2.url(): w2}
+
+	p := New(Config{
+		Workers:       []string{w1.url(), w2.url()},
+		Client:        fastClient(),
+		Slots:         1,
+		DisableLocal:  true,
+		ProbeInterval: 5 * time.Millisecond,
+		Logf:          t.Logf,
+	})
+
+	// "Restart" whichever worker accepted the first execution once the
+	// job is on its books.
+	go func() {
+		e := <-fleet.firstExec
+		for workers[e.worker].forgetJobs() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
+	spec := fakeSpec("forgotten")
+	runs, err := p.Run(context.Background(), []experiment.CellSpec{spec})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	r := runs[0]
+	if r.Err != nil {
+		t.Fatalf("cell failed: %v", r.Err)
+	}
+	if r.Launches != 2 || r.Reassigned != 1 {
+		t.Errorf("launches = %d, reassigned = %d; want 2 and 1 (original + requeue)", r.Launches, r.Reassigned)
+	}
+	if got := fleet.executions("forgotten"); got != 2 {
+		t.Errorf("fleet accepted %d executions, want 2", got)
+	}
+	if !reflect.DeepEqual(r.Result, wantFakeResult(spec)) {
+		t.Errorf("wrong result after requeue: %+v", r.Result)
+	}
+}
+
+// hostRoutes sends each request through the round tripper registered
+// for its host, and through def otherwise.
+type hostRoutes struct {
+	by  map[string]http.RoundTripper
+	def http.RoundTripper
+}
+
+func (h hostRoutes) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rt, ok := h.by[req.URL.Host]; ok {
+		return rt.RoundTrip(req)
+	}
+	return h.def.RoundTrip(req)
+}
+
+// TestHTTPScriptFaultsLeaveSweepUnchanged drives a chaos.HTTPScript
+// through the coordinator's real HTTP client: one dropped /v1/runs
+// exchange fleet-wide, and one worker that dies a few exchanges in.
+// Retries and reassignment absorb both, and the merged cells equal a
+// clean sweep's.
+func TestHTTPScriptFaultsLeaveSweepUnchanged(t *testing.T) {
+	specs := []experiment.CellSpec{fakeSpec("a"), fakeSpec("b"), fakeSpec("c"), fakeSpec("d"), fakeSpec("e")}
+	sweep := func(transport func(ws []*fakeWorker) http.RoundTripper) ([]CellRun, uint64) {
+		t.Helper()
+		fleet := newFakeFleet(nil)
+		ws := []*fakeWorker{newFakeWorker(fleet), newFakeWorker(fleet)}
+		defer ws[0].kill()
+		defer ws[1].kill()
+		cc := fastClient()
+		if transport != nil {
+			cc.HTTP = &http.Client{Transport: transport(ws)}
+		}
+		p := New(Config{
+			Workers:       []string{ws[0].url(), ws[1].url()},
+			Client:        cc,
+			Slots:         1,
+			DisableLocal:  true,
+			ProbeInterval: 5 * time.Millisecond,
+			Logf:          t.Logf,
+		})
+		runs, err := p.Run(context.Background(), specs)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		for i, r := range runs {
+			if r.Err != nil {
+				t.Fatalf("cell %d failed: %v", i, r.Err)
+			}
+		}
+		var retries uint64
+		for _, w := range p.workers {
+			retries += w.client.Retries.Load()
+		}
+		return runs, retries
+	}
+
+	clean, _ := sweep(nil)
+	faulty, retries := sweep(func(ws []*fakeWorker) http.RoundTripper {
+		drop := chaos.NewHTTPScript(chaos.Plan{Faults: []chaos.Fault{
+			{Kind: chaos.FaultDropResponse, Path: "/v1/runs", Nth: 1},
+		}})
+		death := chaos.NewHTTPScript(chaos.Plan{Faults: []chaos.Fault{
+			{Kind: chaos.FaultWorkerDeath, Nth: 4},
+		}})
+		shared := drop.Transport(nil)
+		return hostRoutes{
+			by:  map[string]http.RoundTripper{ws[0].host(): death.Transport(shared)},
+			def: shared,
+		}
+	})
+	if !reflect.DeepEqual(Merge(faulty), Merge(clean)) {
+		t.Errorf("faulty sweep merged to\n%+v\nclean sweep to\n%+v", Merge(faulty), Merge(clean))
+	}
+	if retries == 0 {
+		t.Error("no retries recorded under injected drops")
 	}
 }
 

@@ -10,23 +10,18 @@ import (
 // around it.
 func TestIndexStableAcrossOtherDeletes(t *testing.T) {
 	st := newStore(t)
-	for id := ID(0); id < 8; id++ {
-		if err := st.Create(id, 4096); err != nil {
-			t.Fatal(err)
-		}
+	idx := make([]Index, 8)
+	for i := range idx {
+		idx[i] = mustCreate(t, st, ID(i), 4096)
 	}
 	idx3, ok := st.Lookup(3)
-	if !ok {
-		t.Fatal("object 3 missing")
+	if !ok || idx3 != idx[3] {
+		t.Fatalf("Lookup(3) = %d (ok=%v), CreateIndexed returned %d", idx3, ok, idx[3])
 	}
 	for _, id := range []ID{0, 2, 6} {
-		if err := st.Delete(id); err != nil {
-			t.Fatal(err)
-		}
+		st.DeleteIndexed(idx[id])
 	}
-	if err := st.Create(100, 4096); err != nil {
-		t.Fatal(err)
-	}
+	mustCreate(t, st, 100, 4096)
 	if now, ok := st.Lookup(3); !ok || now != idx3 {
 		t.Fatalf("object 3 index moved from %d to %d (ok=%v)", idx3, now, ok)
 	}
@@ -43,18 +38,11 @@ func TestIndexStableAcrossOtherDeletes(t *testing.T) {
 func TestIndexReuseAfterDelete(t *testing.T) {
 	st := newStore(t)
 	for id := ID(0); id < 4; id++ {
-		if err := st.Create(id, 4096); err != nil {
-			t.Fatal(err)
-		}
+		mustCreate(t, st, id, 4096)
 	}
 	freed, _ := st.Lookup(2)
-	if err := st.Delete(2); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := st.CreateIndexed(99, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st.DeleteIndexed(freed)
+	idx := mustCreate(t, st, 99, 4096)
 	if idx != freed {
 		t.Fatalf("new object got slot %d, want recycled slot %d", idx, freed)
 	}
@@ -84,14 +72,14 @@ func TestSortedIndicesTracksChurn(t *testing.T) {
 	}
 	for _, op := range ops {
 		if op.del {
-			if err := st.Delete(op.id); err != nil {
-				t.Fatal(err)
+			idx, ok := st.Lookup(op.id)
+			if !ok {
+				t.Fatalf("object %d missing before delete", op.id)
 			}
+			st.DeleteIndexed(idx)
 			delete(live, op.id)
 		} else {
-			if err := st.Create(op.id, 4096); err != nil {
-				t.Fatal(err)
-			}
+			mustCreate(t, st, op.id, 4096)
 			live[op.id] = true
 		}
 		var want []ID

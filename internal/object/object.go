@@ -1,15 +1,15 @@
 // Package object implements the per-OSD object store: variable-size
 // objects bound to logical-page extents on a flash.SSD. Object-based
 // storage devices (osc-osd in the paper's testbed) expose exactly this
-// interface — create/delete/read/write by object id and byte range.
+// interface — create/delete/read/write of an object's byte ranges.
 //
 // Internally the store is a struct-of-arrays table indexed by a compact
 // Index handle: parallel slices hold each object's id, size, page count
 // and first extent, with overflow extents spilled to a side slice. The
 // handle is minted at creation and stays valid until the object is
-// deleted, so hot callers (the cluster replay loop) resolve an object
-// once and then address it by plain slice indexing; the ID-keyed API
-// remains as a thin map-backed shim for cold paths.
+// deleted, and every operation addresses the object by it, so callers
+// (the cluster replay loop) resolve an object once and then work by
+// plain slice indexing. Lookup is the one id→handle resolver.
 package object
 
 import (
@@ -27,8 +27,7 @@ type ID int64
 // Index is a store-local dense handle for a resident object. Handles
 // are minted by CreateIndexed, stay stable until the object is deleted,
 // and are recycled afterwards; they index the store's internal tables
-// directly, so the *At methods cost a slice access where the ID-keyed
-// shims cost a map lookup.
+// directly, so every *At method costs a slice access.
 type Index int32
 
 // NoIndex is the invalid handle.
@@ -37,9 +36,6 @@ const NoIndex Index = -1
 // ErrNoSpace is returned when the store cannot allocate logical pages
 // for a new object without exceeding the SSD's live-data headroom.
 var ErrNoSpace = errors.New("object: no space for object")
-
-// ErrNotFound is returned when operating on an unknown object.
-var ErrNotFound = errors.New("object: object not found")
 
 // extent is a contiguous run of logical pages.
 type extent struct {
@@ -63,7 +59,7 @@ type Store struct {
 	spill  [][]extent
 	inUse  []bool
 
-	byID      map[ID]Index // ID-keyed shim index (cold paths)
+	byID      map[ID]Index // id → handle (Lookup, duplicate-create check)
 	freeSlots []Index
 	live      int
 
@@ -111,25 +107,6 @@ func (st *Store) CapacityPages() int64 { return st.ssd.MaxLivePages() }
 func (st *Store) Lookup(id ID) (Index, bool) {
 	idx, ok := st.byID[id]
 	return idx, ok
-}
-
-// Has reports whether the object is resident.
-func (st *Store) Has(id ID) bool { _, ok := st.byID[id]; return ok }
-
-// Size returns the object's size in bytes, or 0 if absent.
-func (st *Store) Size(id ID) int64 {
-	if idx, ok := st.byID[id]; ok {
-		return st.sizes[idx]
-	}
-	return 0
-}
-
-// Pages returns the number of logical pages backing the object.
-func (st *Store) Pages(id ID) int64 {
-	if idx, ok := st.byID[id]; ok {
-		return st.npages[idx]
-	}
-	return 0
 }
 
 // IDAt returns the id of the object at idx.
@@ -194,15 +171,11 @@ func (st *Store) newSlot() Index {
 	return Index(len(st.ids) - 1)
 }
 
-// Create allocates an object of the given size without writing its data
-// (use Populate for that). It fails with ErrNoSpace if the allocation
-// would exceed the usable logical space.
-func (st *Store) Create(id ID, size int64) error {
-	_, err := st.CreateIndexed(id, size)
-	return err
-}
-
-// CreateIndexed is Create returning the new object's dense handle.
+// CreateIndexed allocates an object of the given size without writing
+// its data (use PopulateAt for that) and returns its dense handle. It
+// fails with ErrNoSpace if the allocation would exceed the usable
+// logical space, and refuses an id the store already holds: one store
+// never keeps two copies of an object.
 func (st *Store) CreateIndexed(id ID, size int64) (Index, error) {
 	if _, ok := st.byID[id]; ok {
 		return NoIndex, fmt.Errorf("object: %d already exists", id)
@@ -226,18 +199,9 @@ func (st *Store) CreateIndexed(id ID, size int64) (Index, error) {
 	return idx, nil
 }
 
-// Populate writes every page of the object (pre-creation fill, §V.A:
-// files are "pre-created and populated with sufficient data"), returning
-// the accumulated device latency.
-func (st *Store) Populate(id ID) (sim.Time, error) {
-	idx, ok := st.byID[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	return st.PopulateAt(idx)
-}
-
-// PopulateAt is Populate by dense handle.
+// PopulateAt writes every page of the object at idx (pre-creation fill,
+// §V.A: files are "pre-created and populated with sufficient data"),
+// returning the accumulated device latency.
 func (st *Store) PopulateAt(idx Index) (sim.Time, error) {
 	var lat sim.Time
 	e := st.ext0[idx]
@@ -254,16 +218,6 @@ func (st *Store) PopulateAt(idx Index) (sim.Time, error) {
 		}
 	}
 	return lat, nil
-}
-
-// Delete removes the object, trimming its pages on the device.
-func (st *Store) Delete(id ID) error {
-	idx, ok := st.byID[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	st.DeleteIndexed(idx)
-	return nil
 }
 
 // DeleteIndexed removes the object at idx, trimming its pages on the
@@ -286,17 +240,9 @@ func (st *Store) DeleteIndexed(idx Index) {
 	st.sortedOK = false
 }
 
-// Write services a byte-range write, growing the object when the range
-// extends past its current size. Returns the device latency.
-func (st *Store) Write(id ID, off, length int64) (sim.Time, error) {
-	idx, ok := st.byID[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	return st.WriteAt(idx, off, length)
-}
-
-// WriteAt is Write by dense handle.
+// WriteAt services a byte-range write to the object at idx, growing the
+// object when the range extends past its current size. Returns the
+// device latency.
 func (st *Store) WriteAt(idx Index, off, length int64) (sim.Time, error) {
 	if length <= 0 {
 		return 0, nil
@@ -339,16 +285,8 @@ func (st *Store) WriteAt(idx Index, off, length int64) (sim.Time, error) {
 	return lat, nil
 }
 
-// Read services a byte-range read, clamped to the object's size.
-func (st *Store) Read(id ID, off, length int64) (sim.Time, error) {
-	idx, ok := st.byID[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	return st.ReadAt(idx, off, length)
-}
-
-// ReadAt is Read by dense handle.
+// ReadAt services a byte-range read of the object at idx, clamped to
+// the object's size.
 func (st *Store) ReadAt(idx Index, off, length int64) (sim.Time, error) {
 	size := st.sizes[idx]
 	if off >= size || length <= 0 {
@@ -384,15 +322,6 @@ func (st *Store) ReadAt(idx Index, off, length int64) (sim.Time, error) {
 		return lat, fmt.Errorf("object: page walk ran past object end (%d pages unvisited)", count)
 	}
 	return lat, nil
-}
-
-// ReadAll reads every page of the object (migration source path).
-func (st *Store) ReadAll(id ID) (sim.Time, error) {
-	idx, ok := st.byID[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	return st.ReadAt(idx, 0, st.sizes[idx])
 }
 
 // extentCount returns the number of extents backing the object at idx.

@@ -23,28 +23,35 @@ func newStore(t *testing.T) *Store {
 	return NewStore(ssd)
 }
 
-func TestCreateDeleteLifecycle(t *testing.T) {
-	st := newStore(t)
-	if err := st.Create(1, 10000); err != nil {
+// mustCreate creates an object and returns its handle, failing the test
+// on error.
+func mustCreate(t *testing.T, st *Store, id ID, size int64) Index {
+	t.Helper()
+	idx, err := st.CreateIndexed(id, size)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Has(1) {
-		t.Fatal("object missing after Create")
+	return idx
+}
+
+func TestCreateDeleteLifecycle(t *testing.T) {
+	st := newStore(t)
+	idx := mustCreate(t, st, 1, 10000)
+	if got, ok := st.Lookup(1); !ok || got != idx {
+		t.Fatal("object missing after CreateIndexed")
 	}
-	if st.Size(1) != 10000 {
-		t.Fatalf("Size = %d", st.Size(1))
+	if st.SizeAt(idx) != 10000 {
+		t.Fatalf("SizeAt = %d", st.SizeAt(idx))
 	}
-	if st.Pages(1) != 3 { // ceil(10000/4096)
-		t.Fatalf("Pages = %d", st.Pages(1))
+	if st.PagesAt(idx) != 3 { // ceil(10000/4096)
+		t.Fatalf("PagesAt = %d", st.PagesAt(idx))
 	}
 	if st.UsedPages() != 3 {
 		t.Fatalf("UsedPages = %d", st.UsedPages())
 	}
-	if err := st.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if st.Has(1) || st.UsedPages() != 0 {
-		t.Fatal("object remains after Delete")
+	st.DeleteIndexed(idx)
+	if _, ok := st.Lookup(1); ok || st.UsedPages() != 0 {
+		t.Fatal("object remains after DeleteIndexed")
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -53,37 +60,24 @@ func TestCreateDeleteLifecycle(t *testing.T) {
 
 func TestCreateDuplicateFails(t *testing.T) {
 	st := newStore(t)
-	if err := st.Create(1, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Create(1, 100); err == nil {
-		t.Fatal("duplicate Create should fail")
-	}
-}
-
-func TestDeleteUnknownFails(t *testing.T) {
-	st := newStore(t)
-	if err := st.Delete(404); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
+	mustCreate(t, st, 1, 100)
+	if _, err := st.CreateIndexed(1, 100); err == nil {
+		t.Fatal("duplicate CreateIndexed should fail")
 	}
 }
 
 func TestZeroSizeObjectOccupiesOnePage(t *testing.T) {
 	st := newStore(t)
-	if err := st.Create(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if st.Pages(1) != 1 {
-		t.Fatalf("zero-size object pages = %d", st.Pages(1))
+	idx := mustCreate(t, st, 1, 0)
+	if st.PagesAt(idx) != 1 {
+		t.Fatalf("zero-size object pages = %d", st.PagesAt(idx))
 	}
 }
 
 func TestPopulateWritesEveryPage(t *testing.T) {
 	st := newStore(t)
-	if err := st.Create(1, 5*4096); err != nil {
-		t.Fatal(err)
-	}
-	lat, err := st.Populate(1)
+	idx := mustCreate(t, st, 1, 5*4096)
+	lat, err := st.PopulateAt(idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +91,9 @@ func TestPopulateWritesEveryPage(t *testing.T) {
 
 func TestWriteByteRangeTouchesRightPages(t *testing.T) {
 	st := newStore(t)
-	if err := st.Create(1, 10*4096); err != nil {
-		t.Fatal(err)
-	}
+	idx := mustCreate(t, st, 1, 10*4096)
 	// A 100-byte write straddling a page boundary touches 2 pages.
-	lat, err := st.Write(1, 4096-50, 100)
+	lat, err := st.WriteAt(idx, 4096-50, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +101,7 @@ func TestWriteByteRangeTouchesRightPages(t *testing.T) {
 		t.Fatalf("straddling write latency %v", lat)
 	}
 	// A one-byte write touches 1 page.
-	lat, err = st.Write(1, 0, 1)
+	lat, err = st.WriteAt(idx, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +112,8 @@ func TestWriteByteRangeTouchesRightPages(t *testing.T) {
 
 func TestWriteZeroLengthIsFree(t *testing.T) {
 	st := newStore(t)
-	if err := st.Create(1, 4096); err != nil {
-		t.Fatal(err)
-	}
-	lat, err := st.Write(1, 0, 0)
+	idx := mustCreate(t, st, 1, 4096)
+	lat, err := st.WriteAt(idx, 0, 0)
 	if err != nil || lat != 0 {
 		t.Fatalf("zero-length write: lat=%v err=%v", lat, err)
 	}
@@ -131,10 +121,8 @@ func TestWriteZeroLengthIsFree(t *testing.T) {
 
 func TestReadClampsToSize(t *testing.T) {
 	st := newStore(t)
-	if err := st.Create(1, 4096); err != nil {
-		t.Fatal(err)
-	}
-	lat, err := st.Read(1, 0, 1<<20)
+	idx := mustCreate(t, st, 1, 4096)
+	lat, err := st.ReadAt(idx, 0, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +130,7 @@ func TestReadClampsToSize(t *testing.T) {
 		t.Fatalf("clamped read latency %v", lat)
 	}
 	// Reading past the end is a no-op.
-	lat, err = st.Read(1, 8192, 100)
+	lat, err = st.ReadAt(idx, 8192, 100)
 	if err != nil || lat != 0 {
 		t.Fatalf("past-end read: lat=%v err=%v", lat, err)
 	}
@@ -150,17 +138,15 @@ func TestReadClampsToSize(t *testing.T) {
 
 func TestWriteGrowsObject(t *testing.T) {
 	st := newStore(t)
-	if err := st.Create(1, 4096); err != nil {
+	idx := mustCreate(t, st, 1, 4096)
+	if _, err := st.WriteAt(idx, 8000, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Write(1, 8000, 1000); err != nil {
-		t.Fatal(err)
+	if st.SizeAt(idx) != 9000 {
+		t.Fatalf("grown size = %d", st.SizeAt(idx))
 	}
-	if st.Size(1) != 9000 {
-		t.Fatalf("grown size = %d", st.Size(1))
-	}
-	if st.Pages(1) != 3 {
-		t.Fatalf("grown pages = %d", st.Pages(1))
+	if st.PagesAt(idx) != 3 {
+		t.Fatalf("grown pages = %d", st.PagesAt(idx))
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -171,21 +157,18 @@ func TestGrowthAcrossFragmentation(t *testing.T) {
 	st := newStore(t)
 	// Fill with interleaved objects, delete every other one, then grow
 	// a survivor across the resulting fragmentation.
-	for i := ID(0); i < 20; i++ {
-		if err := st.Create(i, 4*4096); err != nil {
-			t.Fatal(err)
-		}
+	idx := make([]Index, 20)
+	for i := range idx {
+		idx[i] = mustCreate(t, st, ID(i), 4*4096)
 	}
-	for i := ID(0); i < 20; i += 2 {
-		if err := st.Delete(i); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 20; i += 2 {
+		st.DeleteIndexed(idx[i])
 	}
-	if _, err := st.Write(1, 0, 30*4096); err != nil {
+	if _, err := st.WriteAt(idx[1], 0, 30*4096); err != nil {
 		t.Fatal(err)
 	}
-	if st.Pages(1) != 30 {
-		t.Fatalf("pages after fragmented growth = %d", st.Pages(1))
+	if st.PagesAt(idx[1]) != 30 {
+		t.Fatalf("pages after fragmented growth = %d", st.PagesAt(idx[1]))
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -195,16 +178,12 @@ func TestGrowthAcrossFragmentation(t *testing.T) {
 func TestNoSpace(t *testing.T) {
 	st := newStore(t)
 	cap := st.CapacityPages()
-	if err := st.Create(1, cap*4096); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Create(2, 4096); !errors.Is(err, ErrNoSpace) {
+	idx := mustCreate(t, st, 1, cap*4096)
+	if _, err := st.CreateIndexed(2, 4096); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace, got %v", err)
 	}
 	// Failed allocation must not leak pages.
-	if err := st.Delete(1); err != nil {
-		t.Fatal(err)
-	}
+	st.DeleteIndexed(idx)
 	if st.UsedPages() != 0 {
 		t.Fatalf("leak: used = %d", st.UsedPages())
 	}
@@ -215,24 +194,20 @@ func TestNoSpace(t *testing.T) {
 
 func TestReadAllCoversObject(t *testing.T) {
 	st := newStore(t)
-	if err := st.Create(1, 7*4096); err != nil {
-		t.Fatal(err)
-	}
-	lat, err := st.ReadAll(1)
+	idx := mustCreate(t, st, 1, 7*4096)
+	lat, err := st.ReadAt(idx, 0, st.SizeAt(idx))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lat != 7*flash.DefaultReadLatency {
-		t.Fatalf("ReadAll latency %v", lat)
+		t.Fatalf("whole-object read latency %v", lat)
 	}
 }
 
 func TestIDsSorted(t *testing.T) {
 	st := newStore(t)
 	for _, id := range []ID{5, 1, 3} {
-		if err := st.Create(id, 100); err != nil {
-			t.Fatal(err)
-		}
+		mustCreate(t, st, id, 100)
 	}
 	ids := st.IDs()
 	if len(ids) != 3 || ids[0] != 1 || ids[1] != 3 || ids[2] != 5 {
@@ -240,33 +215,16 @@ func TestIDsSorted(t *testing.T) {
 	}
 }
 
-func TestOpsOnMissingObject(t *testing.T) {
-	st := newStore(t)
-	if _, err := st.Write(9, 0, 10); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Write: %v", err)
-	}
-	if _, err := st.Read(9, 0, 10); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Read: %v", err)
-	}
-	if _, err := st.Populate(9); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Populate: %v", err)
-	}
-}
-
 func TestDeleteTrimsFlash(t *testing.T) {
 	st := newStore(t)
-	if err := st.Create(1, 10*4096); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Populate(1); err != nil {
+	idx := mustCreate(t, st, 1, 10*4096)
+	if _, err := st.PopulateAt(idx); err != nil {
 		t.Fatal(err)
 	}
 	if st.SSD().LivePages() != 10 {
 		t.Fatalf("live = %d", st.SSD().LivePages())
 	}
-	if err := st.Delete(1); err != nil {
-		t.Fatal(err)
-	}
+	st.DeleteIndexed(idx)
 	if st.SSD().LivePages() != 0 {
 		t.Fatalf("delete must trim: live = %d", st.SSD().LivePages())
 	}
@@ -277,37 +235,36 @@ func TestRandomLifecyclesPreserveInvariants(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		st := newStore(t)
 		rnd := rand.New(rand.NewSource(seed))
-		alive := map[ID]bool{}
+		alive := map[ID]Index{}
 		for op := 0; op < 2000; op++ {
 			id := ID(rnd.Intn(40))
+			idx, ok := alive[id]
 			switch rnd.Intn(5) {
 			case 0, 1:
-				if !alive[id] {
+				if !ok {
 					size := int64(rnd.Intn(8*4096) + 1)
-					if err := st.Create(id, size); err == nil {
-						alive[id] = true
+					if idx, err := st.CreateIndexed(id, size); err == nil {
+						alive[id] = idx
 					} else if !errors.Is(err, ErrNoSpace) {
 						t.Fatalf("seed %d op %d create: %v", seed, op, err)
 					}
 				}
 			case 2:
-				if alive[id] {
-					if err := st.Delete(id); err != nil {
-						t.Fatalf("seed %d op %d delete: %v", seed, op, err)
-					}
+				if ok {
+					st.DeleteIndexed(idx)
 					delete(alive, id)
 				}
 			case 3:
-				if alive[id] {
-					off := int64(rnd.Intn(int(st.Size(id)) + 1))
-					if _, err := st.Write(id, off, int64(rnd.Intn(4096)+1)); err != nil &&
+				if ok {
+					off := int64(rnd.Intn(int(st.SizeAt(idx)) + 1))
+					if _, err := st.WriteAt(idx, off, int64(rnd.Intn(4096)+1)); err != nil &&
 						!errors.Is(err, ErrNoSpace) {
 						t.Fatalf("seed %d op %d write: %v", seed, op, err)
 					}
 				}
 			case 4:
-				if alive[id] {
-					if _, err := st.Read(id, 0, int64(rnd.Intn(8192))); err != nil {
+				if ok {
+					if _, err := st.ReadAt(idx, 0, int64(rnd.Intn(8192))); err != nil {
 						t.Fatalf("seed %d op %d read: %v", seed, op, err)
 					}
 				}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -199,8 +200,8 @@ func (c *Client) json(ctx context.Context, method, path string, in, out any) err
 // decodeAPIError turns a non-2xx response into an *APIError: the
 // ErrorBody envelope's code and message when the body parses (with a
 // raw-text fallback for proxies and panics that bypass the handler),
-// and the retry hint from the Retry-After header or the envelope's
-// retry_after_s, whichever the server sent.
+// and the retry hint from a valid Retry-After header, else from the
+// envelope's retry_after_s.
 func decodeAPIError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 	e := &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(raw))}
@@ -210,10 +211,19 @@ func decodeAPIError(resp *http.Response) error {
 		e.Message = body.Message
 		e.RetryAfter = time.Duration(body.RetryAfterS) * time.Second
 	}
-	if v := resp.Header.Get("Retry-After"); v != "" {
-		if d, err := time.ParseDuration(v + "s"); err == nil {
-			e.RetryAfter = d
-		}
+	if d, ok := parseRetryAfter(resp.Header.Get("Retry-After")); ok {
+		e.RetryAfter = d
 	}
 	return e
+}
+
+// parseRetryAfter reads a Retry-After header as RFC 9110 delay-seconds:
+// a non-negative integer. Anything else (absent, signed, fractional,
+// an HTTP-date) reports false.
+func parseRetryAfter(v string) (time.Duration, bool) {
+	secs, err := strconv.ParseUint(v, 10, 32)
+	if err != nil {
+		return 0, false
+	}
+	return time.Duration(secs) * time.Second, true
 }

@@ -3,13 +3,55 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"edm"
 )
+
+// TestRetryAfterParsing pins the client's one Retry-After parser: the
+// header counts only as RFC 9110 delay-seconds (a non-negative
+// integer); for anything else the envelope's retry_after_s stands.
+func TestRetryAfterParsing(t *testing.T) {
+	const envelope = `{"code":"queue_full","message":"full","retry_after_s":2}`
+	for _, tc := range []struct {
+		header string
+		body   string
+		want   time.Duration
+	}{
+		{"", "", 0},
+		{"1", "", time.Second},
+		{"30", "", 30 * time.Second},
+		{"-5", "", 0},
+		{"soon", "", 0},
+		{"1.5", "", 0}, // RFC 9110 delay-seconds is an integer
+		{"+5", "", 0},
+		{"", envelope, 2 * time.Second},
+		{"7", envelope, 7 * time.Second},
+		{"-5", envelope, 2 * time.Second},
+		{"1.5", envelope, 2 * time.Second},
+	} {
+		resp := &http.Response{
+			StatusCode: http.StatusTooManyRequests,
+			Header:     http.Header{},
+			Body:       io.NopCloser(strings.NewReader(tc.body)),
+		}
+		if tc.header != "" {
+			resp.Header.Set("Retry-After", tc.header)
+		}
+		var ae *APIError
+		if !errors.As(decodeAPIError(resp), &ae) {
+			t.Fatalf("decodeAPIError did not return an *APIError")
+		}
+		if ae.RetryAfter != tc.want {
+			t.Errorf("Retry-After %q with body %q: RetryAfter = %v, want %v", tc.header, tc.body, ae.RetryAfter, tc.want)
+		}
+	}
+}
 
 // TestErrorCodeTable pins the code ↔ status ↔ sentinel mapping both
 // ways: encoding picks the right code and status for each sentinel,

@@ -23,8 +23,8 @@ func ulpApart(a, b float64) bool {
 // single Ldexp scale, which is exact halving — so the two histories
 // cannot drift.
 func TestLazyDecayMatchesEager(t *testing.T) {
-	lazy := New(iv)
-	eager := New(iv)
+	lazy := tracked(1)
+	eager := tracked(1)
 	touches := []struct {
 		at    sim.Time
 		w, r  int
@@ -41,20 +41,20 @@ func TestLazyDecayMatchesEager(t *testing.T) {
 		for ti < len(touches) && touches[ti].at <= k {
 			tc := touches[ti]
 			if tc.write {
-				lazy.RecordWrite(1, tc.w, tc.at)
-				eager.RecordWrite(1, tc.w, tc.at)
+				lazy.TouchWrite(0, tc.w, tc.at)
+				eager.TouchWrite(0, tc.w, tc.at)
 			} else {
-				lazy.RecordRead(1, tc.r, tc.at)
-				eager.RecordRead(1, tc.r, tc.at)
+				lazy.TouchRead(0, tc.r, tc.at)
+				eager.TouchRead(0, tc.r, tc.at)
 			}
 			ti++
 		}
 		// Only the eager tracker is advanced at every half-interval;
 		// the lazy one decays in one shot at the final query.
-		eager.Query(1, k)
+		eager.QueryAt(0, k)
 	}
 	at := 55 * iv
-	l, e := lazy.Query(1, at), eager.Query(1, at)
+	l, e := lazy.QueryAt(0, at), eager.QueryAt(0, at)
 	if !ulpApart(l.WriteTemp, e.WriteTemp) {
 		t.Errorf("lazy WriteTemp %v, eager %v: more than 1 ulp apart", l.WriteTemp, e.WriteTemp)
 	}
@@ -90,10 +90,11 @@ func TestTouchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestInstallAtReplacesOccupantAndStaleBinding covers slot recycling:
-// rebinding a slot drops its previous occupant, and installing an id
-// that already lives at another slot invalidates the stale row.
-func TestInstallAtReplacesOccupantAndStaleBinding(t *testing.T) {
+// TestInstallAtReplacesOccupant covers slot recycling: rebinding a
+// slot drops its previous occupant and resets the counters, and
+// re-installing the id a slot already holds (ImportAt onto the row a
+// move bound up front) keeps the live count.
+func TestInstallAtReplacesOccupant(t *testing.T) {
 	tr := New(iv)
 	tr.InstallAt(0, 100)
 	tr.TouchWrite(0, 8, 0)
@@ -102,24 +103,21 @@ func TestInstallAtReplacesOccupantAndStaleBinding(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d after rebind, want 1", tr.Len())
 	}
-	if s := tr.Query(100, iv); s.WriteTemp != 0 || s.CumWrites != 0 {
-		t.Fatalf("evicted object still has history: %+v", s)
+	if tr.BoundTo(0, 100) {
+		t.Fatal("evicted object 100 still bound to slot 0")
 	}
 	if !tr.BoundTo(0, 200) {
 		t.Fatal("slot 0 not bound to 200 after rebind")
 	}
-	if s := tr.QueryAt(0, iv); s.WriteTemp != 0 {
+	if s := tr.QueryAt(0, iv); s.WriteTemp != 0 || s.CumWrites != 0 {
 		t.Fatalf("recycled slot kept old counters: %+v", s)
 	}
-	// Move 200 to slot 5: the old binding must not resolve anymore.
-	tr.InstallAt(5, 200)
-	if tr.BoundTo(0, 200) {
-		t.Fatal("stale binding at slot 0 survived re-install at slot 5")
-	}
-	if !tr.BoundTo(5, 200) {
-		t.Fatal("slot 5 not bound to 200")
-	}
+	tr.TouchWrite(0, 3, iv)
+	tr.ImportAt(0, Snapshot{ID: 200, CumWrites: 5}, iv)
 	if tr.Len() != 1 {
-		t.Fatalf("Len = %d after re-install, want 1", tr.Len())
+		t.Fatalf("Len = %d after ImportAt onto its own slot, want 1", tr.Len())
+	}
+	if s := tr.QueryAt(0, iv); s.CumWrites != 5 || s.WriteTemp != 0 {
+		t.Fatalf("ImportAt did not replace the row: %+v", s)
 	}
 }

@@ -23,8 +23,8 @@
 // Storage is struct-of-arrays: each per-object counter lives in its own
 // slice, indexed by a Slot handle assigned by the caller (the cluster
 // aligns Slot with object.Index so the replay hot path touches a handful
-// of cache lines and allocates nothing). The ID-keyed API remains as a
-// map-backed shim for cold paths and tests.
+// of cache lines and allocates nothing). Every operation addresses an
+// object by its slot; the tracker keeps no id index of its own.
 package temperature
 
 import (
@@ -43,12 +43,11 @@ const DefaultInterval = sim.Minute
 type ObjectID int64
 
 // Slot is a dense row handle into the tracker's tables. Slots are
-// assigned by InstallAt (or minted internally by the ID-keyed shims) and
-// freed by ForgetAt/ExportAt.
+// assigned by InstallAt and freed by ForgetAt/ExportAt.
 type Slot int32
 
 // Tracker records accesses for one OSD's objects. Objects migrate
-// between trackers via Export/Import so their history follows them.
+// between trackers via ExportAt/ImportAt so their history follows them.
 // Per-object state is held in parallel slices indexed by Slot.
 type Tracker struct {
 	interval sim.Time
@@ -65,8 +64,7 @@ type Tracker struct {
 	cumW  []float64 // write pages since creation
 	cumR  []float64 // read pages since creation
 
-	slots map[ObjectID]Slot // ID-keyed shim index
-	live  int
+	live int
 }
 
 // New returns a tracker with the given decay interval.
@@ -74,7 +72,7 @@ func New(interval sim.Time) *Tracker {
 	if interval <= 0 {
 		panic(fmt.Sprintf("temperature: non-positive interval %v", interval))
 	}
-	return &Tracker{interval: interval, slots: make(map[ObjectID]Slot)}
+	return &Tracker{interval: interval}
 }
 
 // Interval returns the decay interval.
@@ -114,22 +112,16 @@ func (t *Tracker) clearRow(s Slot) {
 }
 
 // InstallAt binds slot s to object id with fresh (zero) counters. Any
-// previous occupant of the slot — or a stale binding of id elsewhere —
-// is dropped first, so the call is safe on recycled handles.
+// previous occupant of the slot is dropped first, so the call is safe
+// on recycled handles and on a slot already bound to id.
 func (t *Tracker) InstallAt(s Slot, id ObjectID) {
 	t.grow(s)
 	if t.used[s] {
-		delete(t.slots, t.ids[s])
-		t.live--
-	}
-	if old, ok := t.slots[id]; ok && old != s {
-		t.used[old] = false
 		t.live--
 	}
 	t.clearRow(s)
 	t.ids[s] = id
 	t.used[s] = true
-	t.slots[id] = s
 	t.live++
 }
 
@@ -177,37 +169,11 @@ func (t *Tracker) TouchRead(s Slot, pages int, now sim.Time) {
 	t.cumR[s] += p
 }
 
-// BoundTo reports whether slot s currently holds object id (callers
-// holding a slot from a parallel table can verify it before the *At
-// fast paths, falling back to the ID-keyed API otherwise).
+// BoundTo reports whether slot s currently holds object id. Callers
+// that keep slots in a parallel table (the cluster's audit) use it to
+// check that their table and the tracker agree.
 func (t *Tracker) BoundTo(s Slot, id ObjectID) bool {
 	return int(s) < len(t.ids) && t.used[s] && t.ids[s] == id
-}
-
-// slotFor returns id's slot, minting a fresh table row when the object
-// is unknown (ID-keyed shim path only; the cluster always installs
-// slots explicitly).
-func (t *Tracker) slotFor(id ObjectID) Slot {
-	if s, ok := t.slots[id]; ok {
-		return s
-	}
-	s := Slot(len(t.ids))
-	t.grow(s)
-	t.ids[s] = id
-	t.used[s] = true
-	t.slots[id] = s
-	t.live++
-	return s
-}
-
-// RecordWrite notes a write touching pages pages at virtual time now.
-func (t *Tracker) RecordWrite(id ObjectID, pages int, now sim.Time) {
-	t.TouchWrite(t.slotFor(id), pages, now)
-}
-
-// RecordRead notes a read touching pages pages at virtual time now.
-func (t *Tracker) RecordRead(id ObjectID, pages int, now sim.Time) {
-	t.TouchRead(t.slotFor(id), pages, now)
 }
 
 // Snapshot is an object's temperature state at a query instant.
@@ -233,16 +199,6 @@ func (t *Tracker) QueryAt(s Slot, now sim.Time) Snapshot {
 		CumWrites: t.cumW[s],
 		CumReads:  t.cumR[s],
 	}
-}
-
-// Query returns the object's snapshot as of now. Unknown objects return
-// a zero snapshot without being created.
-func (t *Tracker) Query(id ObjectID, now sim.Time) Snapshot {
-	s, ok := t.slots[id]
-	if !ok {
-		return Snapshot{ID: id}
-	}
-	return t.QueryAt(s, now)
 }
 
 // All returns snapshots for every tracked object as of now, in
@@ -271,16 +227,8 @@ func (t *Tracker) ForgetAt(s Slot) {
 	if int(s) >= len(t.ids) || !t.used[s] {
 		return
 	}
-	delete(t.slots, t.ids[s])
 	t.used[s] = false
 	t.live--
-}
-
-// Forget drops an object (deleted from this OSD without migration).
-func (t *Tracker) Forget(id ObjectID) {
-	if s, ok := t.slots[id]; ok {
-		t.ForgetAt(s)
-	}
 }
 
 // ExportAt removes slot s's state for transfer to another tracker,
@@ -306,16 +254,6 @@ func (t *Tracker) ExportAt(s Slot, now sim.Time) (Snapshot, bool) {
 	return snap, true
 }
 
-// Export removes the object's state for transfer to another tracker,
-// reporting whether the object was known.
-func (t *Tracker) Export(id ObjectID, now sim.Time) (Snapshot, bool) {
-	s, ok := t.slots[id]
-	if !ok {
-		return Snapshot{ID: id}, false
-	}
-	return t.ExportAt(s, now)
-}
-
 // ImportAt installs a snapshot exported from another tracker at slot s.
 func (t *Tracker) ImportAt(s Slot, snap Snapshot, now sim.Time) {
 	t.InstallAt(s, snap.ID)
@@ -325,13 +263,4 @@ func (t *Tracker) ImportAt(s Slot, snap Snapshot, now sim.Time) {
 	t.winW[s] = snap.WinWrites
 	t.cumW[s] = snap.CumWrites
 	t.cumR[s] = snap.CumReads
-}
-
-// Import installs a snapshot exported from another tracker.
-func (t *Tracker) Import(snap Snapshot, now sim.Time) {
-	s, ok := t.slots[snap.ID]
-	if !ok {
-		s = t.slotFor(snap.ID)
-	}
-	t.ImportAt(s, snap, now)
 }

@@ -9,17 +9,24 @@ import (
 
 const iv = sim.Minute
 
+// tracked returns a tracker with object id installed at slot 0.
+func tracked(id ObjectID) *Tracker {
+	tr := New(iv)
+	tr.InstallAt(0, id)
+	return tr
+}
+
 func TestRecurrenceEquationSix(t *testing.T) {
 	// T_k = T_{k-1}/2 + A_k, checked against the closed form Eq.(5).
-	tr := New(iv)
+	tr := tracked(1)
 	accesses := []int{4, 0, 2, 8, 1}
 	for k, a := range accesses {
 		for i := 0; i < a; i++ {
-			tr.RecordWrite(1, 1, sim.Time(k)*iv+iv/2)
+			tr.TouchWrite(0, 1, sim.Time(k)*iv+iv/2)
 		}
 	}
 	// Query at the start of epoch len(accesses): all epochs folded.
-	got := tr.Query(1, sim.Time(len(accesses))*iv).WriteTemp
+	got := tr.QueryAt(0, sim.Time(len(accesses))*iv).WriteTemp
 	want := 0.0
 	k := len(accesses)
 	for i, a := range accesses {
@@ -32,21 +39,21 @@ func TestRecurrenceEquationSix(t *testing.T) {
 }
 
 func TestCurrentIntervalCountsAtFullWeight(t *testing.T) {
-	tr := New(iv)
-	tr.RecordWrite(1, 3, 10)
-	snap := tr.Query(1, 20)
+	tr := tracked(1)
+	tr.TouchWrite(0, 3, 10)
+	snap := tr.QueryAt(0, 20)
 	if snap.WriteTemp != 3 {
 		t.Fatalf("in-interval accesses should count fully: %v", snap.WriteTemp)
 	}
 }
 
 func TestDecayOverIdleGaps(t *testing.T) {
-	tr := New(iv)
-	tr.RecordWrite(1, 8, 0)
+	tr := tracked(1)
+	tr.TouchWrite(0, 8, 0)
 	// The access at t=0 belongs to interval 1, so T_1 = 8 and each
 	// further idle boundary halves it: T_g = 8 / 2^(g-1).
 	for _, g := range []int64{1, 2, 3, 10} {
-		got := tr.Query(1, sim.Time(g)*iv).WriteTemp
+		got := tr.QueryAt(0, sim.Time(g)*iv).WriteTemp
 		want := 8 / math.Pow(2, float64(g-1))
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("gap %d: got %v want %v", g, got, want)
@@ -55,18 +62,18 @@ func TestDecayOverIdleGaps(t *testing.T) {
 }
 
 func TestLongGapUnderflowsToZero(t *testing.T) {
-	tr := New(iv)
-	tr.RecordWrite(1, 1000, 0)
-	if got := tr.Query(1, 100*iv).WriteTemp; got != 0 {
+	tr := tracked(1)
+	tr.TouchWrite(0, 1000, 0)
+	if got := tr.QueryAt(0, 100*iv).WriteTemp; got != 0 {
 		t.Fatalf("after 100 idle epochs temp should be exactly 0, got %v", got)
 	}
 }
 
 func TestWriteVsTotalTemperature(t *testing.T) {
-	tr := New(iv)
-	tr.RecordWrite(1, 2, 0)
-	tr.RecordRead(1, 5, 0)
-	snap := tr.Query(1, 0)
+	tr := tracked(1)
+	tr.TouchWrite(0, 2, 0)
+	tr.TouchRead(0, 5, 0)
+	snap := tr.QueryAt(0, 0)
 	if snap.WriteTemp != 2 {
 		t.Fatalf("write temp %v", snap.WriteTemp)
 	}
@@ -79,56 +86,69 @@ func TestWriteVsTotalTemperature(t *testing.T) {
 }
 
 func TestWindowWrites(t *testing.T) {
-	tr := New(iv)
-	tr.RecordWrite(1, 4, 0)
-	tr.RecordWrite(1, 6, iv)
-	if got := tr.Query(1, iv).WinWrites; got != 10 {
+	tr := tracked(1)
+	tr.TouchWrite(0, 4, 0)
+	tr.TouchWrite(0, 6, iv)
+	if got := tr.QueryAt(0, iv).WinWrites; got != 10 {
 		t.Fatalf("window writes %v", got)
 	}
 	tr.ResetWindow()
-	if got := tr.Query(1, iv).WinWrites; got != 0 {
+	if got := tr.QueryAt(0, iv).WinWrites; got != 0 {
 		t.Fatalf("window writes after reset %v", got)
 	}
 	// Cumulative counter unaffected by window reset.
-	if got := tr.Query(1, iv).CumWrites; got != 10 {
+	if got := tr.QueryAt(0, iv).CumWrites; got != 10 {
 		t.Fatalf("cumulative writes after reset %v", got)
 	}
 }
 
+// TestUnknownObjectIsZero: an object installed without accesses has
+// zero temperature at any later time, and querying it adds no row.
 func TestUnknownObjectIsZero(t *testing.T) {
 	tr := New(iv)
-	snap := tr.Query(99, 5*iv)
-	if snap.WriteTemp != 0 || snap.TotalTemp != 0 || snap.WinWrites != 0 {
-		t.Fatalf("unknown object: %+v", snap)
+	tr.InstallAt(3, 99)
+	snap := tr.QueryAt(3, 5*iv)
+	if snap.ID != 99 || snap.WriteTemp != 0 || snap.TotalTemp != 0 || snap.WinWrites != 0 {
+		t.Fatalf("untouched object: %+v", snap)
 	}
-	if tr.Len() != 0 {
-		t.Fatal("Query must not materialise entries")
+	if tr.Len() != 1 {
+		t.Fatalf("Len = %d, want 1: QueryAt must not materialise entries", tr.Len())
 	}
 }
 
 func TestForget(t *testing.T) {
-	tr := New(iv)
-	tr.RecordWrite(1, 1, 0)
-	tr.Forget(1)
+	tr := tracked(1)
+	tr.TouchWrite(0, 1, 0)
+	tr.ForgetAt(0)
 	if tr.Len() != 0 {
-		t.Fatal("Forget should drop the entry")
+		t.Fatal("ForgetAt should drop the entry")
+	}
+	if tr.BoundTo(0, 1) {
+		t.Fatal("forgotten slot still bound")
+	}
+	tr.ForgetAt(0) // forgetting a free slot is a no-op
+	if tr.Len() != 0 {
+		t.Fatalf("Len = %d after a second ForgetAt", tr.Len())
 	}
 }
 
 func TestExportImportCarriesHistory(t *testing.T) {
-	src, dst := New(iv), New(iv)
-	src.RecordWrite(1, 8, 0)
-	src.RecordRead(1, 4, 0)
+	src, dst := tracked(1), New(iv)
+	src.TouchWrite(0, 8, 0)
+	src.TouchRead(0, 4, 0)
 	now := 2 * iv
-	snap, ok := src.Export(1, now)
+	snap, ok := src.ExportAt(0, now)
 	if !ok {
-		t.Fatal("Export of known object failed")
+		t.Fatal("ExportAt of a bound slot failed")
 	}
 	if src.Len() != 0 {
-		t.Fatal("Export should remove the source entry")
+		t.Fatal("ExportAt should remove the source entry")
 	}
-	dst.Import(snap, now)
-	got := dst.Query(1, now)
+	dst.ImportAt(7, snap, now)
+	if !dst.BoundTo(7, 1) {
+		t.Fatal("ImportAt did not bind slot 7 to the object")
+	}
+	got := dst.QueryAt(7, now)
 	// T_1 = 8 writes (12 total), one further idle boundary halves:
 	// T_2 = 4 writes, 6 total.
 	if math.Abs(got.WriteTemp-4) > 1e-9 || math.Abs(got.TotalTemp-6) > 1e-9 {
@@ -138,23 +158,31 @@ func TestExportImportCarriesHistory(t *testing.T) {
 		t.Fatalf("imported cumulative: %+v", got)
 	}
 	// Further decay continues on the destination.
-	if g := dst.Query(1, 3*iv).WriteTemp; math.Abs(g-2) > 1e-9 {
+	if g := dst.QueryAt(7, 3*iv).WriteTemp; math.Abs(g-2) > 1e-9 {
 		t.Fatalf("post-import decay: %v", g)
 	}
 }
 
 func TestExportUnknown(t *testing.T) {
 	tr := New(iv)
-	if _, ok := tr.Export(5, 0); ok {
-		t.Fatal("Export of unknown object should report false")
+	if _, ok := tr.ExportAt(5, 0); ok {
+		t.Fatal("ExportAt of a slot past the table should report false")
+	}
+	tr.InstallAt(2, 9)
+	tr.ForgetAt(2)
+	if _, ok := tr.ExportAt(2, 0); ok {
+		t.Fatal("ExportAt of a freed slot should report false")
 	}
 }
 
 func TestAllReturnsEverything(t *testing.T) {
 	tr := New(iv)
-	tr.RecordWrite(1, 1, 0)
-	tr.RecordRead(2, 1, 0)
-	tr.RecordWrite(3, 1, 0)
+	for s, id := range []ObjectID{1, 2, 3} {
+		tr.InstallAt(Slot(s), id)
+	}
+	tr.TouchWrite(0, 1, 0)
+	tr.TouchRead(1, 1, 0)
+	tr.TouchWrite(2, 1, 0)
 	all := tr.All(0)
 	if len(all) != 3 {
 		t.Fatalf("All returned %d", len(all))
@@ -172,12 +200,14 @@ func TestAllReturnsEverything(t *testing.T) {
 
 func TestHotterObjectRanksHigher(t *testing.T) {
 	tr := New(iv)
+	tr.InstallAt(0, 1)
+	tr.InstallAt(1, 2)
 	// Object 1: heavily written long ago. Object 2: modestly written
 	// recently. Temporal decay must rank 2 above 1 eventually.
-	tr.RecordWrite(1, 100, 0)
-	tr.RecordWrite(2, 10, 8*iv)
+	tr.TouchWrite(0, 100, 0)
+	tr.TouchWrite(1, 10, 8*iv)
 	now := 8 * iv
-	s1, s2 := tr.Query(1, now), tr.Query(2, now)
+	s1, s2 := tr.QueryAt(0, now), tr.QueryAt(1, now)
 	if s2.WriteTemp <= s1.WriteTemp {
 		t.Fatalf("recency should beat stale volume: old=%v new=%v", s1.WriteTemp, s2.WriteTemp)
 	}
