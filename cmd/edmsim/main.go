@@ -21,6 +21,7 @@ import (
 	"edm"
 	"edm/internal/chaos"
 	"edm/internal/check"
+	"edm/internal/cluster"
 	"edm/internal/metrics"
 	"edm/internal/prof"
 	"edm/internal/sim"
@@ -71,13 +72,13 @@ func main() {
 		}
 	}()
 
-	policy, err := parsePolicy(*policyStr)
+	policy, err := edm.ParsePolicy(*policyStr)
 	if err != nil {
 		fatalf("%v", err)
 	}
 
 	if *traceFile == "" {
-		if err := validateWorkload(*workload); err != nil {
+		if _, err := trace.Workload(*workload); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -92,11 +93,13 @@ func main() {
 		Seed:           *seed,
 		Lambda:         *lambda,
 	}
-	mode, err := parseMigrationMode(*migration)
-	if err != nil {
-		fatalf("%v", err)
+	if *migration != "" {
+		mode, err := cluster.ParseMigrationMode(*migration)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		spec.MigrationMode = &mode
 	}
-	spec.MigrationMode = mode
 
 	// The run context: cancelled by Ctrl-C, and by -timeout if set.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -261,7 +264,7 @@ func main() {
 	fmt.Printf("completed  %d ops over %s of virtual time\n", res.Completed, res.Makespan)
 	fmt.Printf("throughput %.1f ops/s\n", res.ThroughputOps)
 	fmt.Printf("response   mean %.3f ms, p99 %.3f ms\n", res.MeanResponse*1000, res.P99Response*1000)
-	fmt.Printf("erases     %d aggregate (RSD %.3f)\n", res.AggregateErases, rsd(res.EraseCounts))
+	fmt.Printf("erases     %d aggregate (RSD %.3f)\n", res.AggregateErases, metrics.RSD(res.EraseCounts))
 	fmt.Printf("writes     %d host pages\n", res.AggregateWrites)
 	if res.Migrations > 0 {
 		fmt.Printf("migration  %d round(s): %d objects, %.1f MB, window %s – %s\n",
@@ -287,14 +290,6 @@ func main() {
 			fmt.Printf("%8.0fs %10.3f %8d\n", p.Time, p.Mean*1000, p.Count)
 		}
 	}
-}
-
-func rsd(xs []uint64) float64 {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return metrics.RSD(fs)
 }
 
 func fatalf(format string, args ...any) {

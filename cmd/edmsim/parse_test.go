@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"edm"
-	"edm/internal/cluster"
 )
 
 func TestParsePolicy(t *testing.T) {
-	// parsePolicy delegates to edm.ParsePolicy, which is
+	// The -policy flag goes through edm.ParsePolicy, which is
 	// case-insensitive and also accepts the figure labels.
 	cases := []struct {
 		in      string
@@ -26,82 +25,19 @@ func TestParsePolicy(t *testing.T) {
 		{"bogus", 0, true},
 	}
 	for _, c := range cases {
-		got, err := parsePolicy(c.in)
+		got, err := edm.ParsePolicy(c.in)
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("parsePolicy(%q): want error, got %v", c.in, got)
+				t.Errorf("ParsePolicy(%q): want error, got %v", c.in, got)
 			} else if !strings.Contains(err.Error(), "baseline") {
-				t.Errorf("parsePolicy(%q) error %q should list valid policies", c.in, err)
+				t.Errorf("ParsePolicy(%q) error %q should list valid policies", c.in, err)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("parsePolicy(%q): %v", c.in, err)
+			t.Errorf("ParsePolicy(%q): %v", c.in, err)
 		} else if got != c.want {
-			t.Errorf("parsePolicy(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseMigrationMode(t *testing.T) {
-	// The empty flag means "not set" and must return a nil override so
-	// edm.Spec falls back to its policy-derived default.
-	cases := []struct {
-		in      string
-		want    *cluster.MigrationMode
-		wantErr bool
-	}{
-		{"", nil, false},
-		{"never", modePtr(cluster.MigrateNever), false},
-		{"midpoint", modePtr(cluster.MigrateMidpoint), false},
-		{"periodic", modePtr(cluster.MigratePeriodic), false},
-		{"sometimes", nil, true},
-		{"Midpoint", nil, true},
-	}
-	for _, c := range cases {
-		got, err := parseMigrationMode(c.in)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("parseMigrationMode(%q): want error, got %v", c.in, got)
-			} else if !strings.Contains(err.Error(), "valid:") ||
-				!strings.Contains(err.Error(), "midpoint") {
-				t.Errorf("parseMigrationMode(%q) error %q should list valid modes", c.in, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseMigrationMode(%q): %v", c.in, err)
-			continue
-		}
-		switch {
-		case (got == nil) != (c.want == nil):
-			t.Errorf("parseMigrationMode(%q) = %v, want %v", c.in, got, c.want)
-		case got != nil && *got != *c.want:
-			t.Errorf("parseMigrationMode(%q) = %v, want %v", c.in, *got, *c.want)
-		}
-	}
-}
-
-func modePtr(m cluster.MigrationMode) *cluster.MigrationMode {
-	return &m
-}
-
-func TestValidateWorkload(t *testing.T) {
-	for _, ok := range []string{"home02", "deasna", "lair62b", "random"} {
-		if err := validateWorkload(ok); err != nil {
-			t.Errorf("validateWorkload(%q): %v", ok, err)
-		}
-	}
-	for _, bad := range []string{"", "home99", "HOME02", "web"} {
-		err := validateWorkload(bad)
-		if err == nil {
-			t.Errorf("validateWorkload(%q): want error", bad)
-			continue
-		}
-		if !strings.Contains(err.Error(), "valid:") ||
-			!strings.Contains(err.Error(), "home02") ||
-			!strings.Contains(err.Error(), "random") {
-			t.Errorf("validateWorkload(%q) error %q should list the built-in workloads", bad, err)
+			t.Errorf("ParsePolicy(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

@@ -110,8 +110,12 @@ type Spec struct {
 	// Seed drives workload generation and warm-up churn.
 	Seed uint64
 
-	// Cluster lets callers override low-level knobs; fields set here
-	// win over the equivalents above when non-zero.
+	// Cluster lets callers override low-level knobs. Its non-zero OSDs,
+	// Groups, ObjectsPerFile and Seed win over the fields of the same
+	// names above; Spec.CheckpointEvery wins over its CheckpointEvery.
+	// Its Migration must stay zero: the controller mode is set by
+	// MigrationMode. A Scratch donated here comes back refilled with
+	// the run's grown buffers once Run succeeds.
 	Cluster cluster.Config
 
 	// MigrationConfig overrides the planners' shared tunables.
@@ -131,27 +135,21 @@ func BuildTrace(spec Spec) (*trace.Trace, error) {
 	if spec.Trace != nil {
 		return spec.Trace, nil
 	}
-	scale := spec.Scale
-	if scale < 1 {
-		scale = 1
+	p, err := trace.Workload(spec.Workload)
+	if err != nil {
+		return nil, fmt.Errorf("edm: %w", err)
 	}
-	var p trace.Profile
-	if spec.Workload == "random" {
-		p = trace.RandomProfile(2000, 400000).Scaled(scale)
-	} else {
-		prof, ok := trace.LookupProfile(spec.Workload)
-		if !ok {
-			return nil, fmt.Errorf("edm: unknown workload %q (have %v and random): %w",
-				spec.Workload, trace.ProfileNames(), ErrUnknownWorkload)
-		}
-		p = prof.Scaled(scale)
-	}
-	return trace.Generate(p, spec.Seed)
+	return trace.Generate(p.Scaled(max(spec.Scale, 1)), spec.Seed)
 }
 
-// NewCluster builds the simulated cluster for a spec (exposed for
-// callers that need mid-run access; most callers use Run).
+// NewCluster builds the simulated cluster for a spec, with the policy's
+// planner installed (exposed for callers that need mid-run access; most
+// callers use Run).
 func NewCluster(spec Spec) (*cluster.Cluster, error) {
+	if spec.Cluster.Migration != cluster.MigrateNever {
+		return nil, fmt.Errorf("edm: Spec.Cluster.Migration is %v; set the controller mode with Spec.MigrationMode: %w",
+			spec.Cluster.Migration, cluster.ErrInvalidConfig)
+	}
 	tr, err := BuildTrace(spec)
 	if err != nil {
 		return nil, err
@@ -199,15 +197,7 @@ func (spec Spec) planner() migration.Planner {
 	if spec.Lambda != 0 {
 		mcfg.Lambda = spec.Lambda
 	}
-	switch spec.Policy {
-	case PolicyCMT:
-		return migration.NewCMT(mcfg)
-	case PolicyHDF:
-		return migration.NewHDF(mcfg)
-	case PolicyCDF:
-		return migration.NewCDF(mcfg)
-	}
-	return nil
+	return spec.Policy.Planner(mcfg)
 }
 
 // Minute re-exports the virtual-time constant most examples need.

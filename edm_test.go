@@ -2,6 +2,9 @@ package edm
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"reflect"
 	"testing"
 
 	"edm/internal/cluster"
@@ -168,5 +171,52 @@ func TestSpecClusterOverridesWin(t *testing.T) {
 	}
 	if res.OSDs != 8 {
 		t.Fatalf("cluster override ignored: %d OSDs", res.OSDs)
+	}
+}
+
+// A Scratch donated through Spec.Cluster comes back holding the run's
+// grown buffers, and recycling it into the next run leaves the result
+// unchanged.
+func TestRunRefillsDonatedScratch(t *testing.T) {
+	ctx := context.Background()
+	want, err := Run(ctx, quickSpec(PolicyHDF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr := &cluster.Scratch{}
+	for i := 0; i < 2; i++ {
+		spec := quickSpec(PolicyHDF)
+		spec.Cluster.Scratch = scr
+		res, err := Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(*scr, cluster.Scratch{}) {
+			t.Fatalf("run %d: donated scratch came back empty", i)
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(wantJSON) {
+			t.Fatalf("run %d on a donated scratch: result differs from a run without one", i)
+		}
+	}
+}
+
+// Spec.Cluster.Migration would be overwritten by the policy's mode, so
+// a non-zero value is refused instead of silently ignored.
+func TestClusterMigrationRejected(t *testing.T) {
+	spec := quickSpec(PolicyHDF)
+	spec.Cluster.Migration = cluster.MigratePeriodic
+	if _, err := Run(context.Background(), spec); !errors.Is(err, cluster.ErrInvalidConfig) {
+		t.Fatalf("Run with Spec.Cluster.Migration set: err = %v, want cluster.ErrInvalidConfig", err)
+	}
+	if _, err := NewCluster(spec); !errors.Is(err, cluster.ErrInvalidConfig) {
+		t.Fatalf("NewCluster with Spec.Cluster.Migration set: err = %v, want cluster.ErrInvalidConfig", err)
 	}
 }

@@ -196,14 +196,13 @@ func (sc Scenario) build(checkpointEvery uint64) (*scenarioEnv, error) {
 			return nil, err
 		}
 	}
-	mode := cluster.MigrateNever
-	if pol != edm.PolicyBaseline {
-		mode = cluster.MigrateMidpoint
-	}
+	var mode *cluster.MigrationMode // nil keeps the policy's default
 	if sc.Migration != "" {
-		if mode, err = cluster.ParseMigrationMode(sc.Migration); err != nil {
+		m, err := cluster.ParseMigrationMode(sc.Migration)
+		if err != nil {
 			return nil, err
 		}
+		mode = &m
 	}
 
 	checker := check.Wrap(nil)
@@ -214,7 +213,7 @@ func (sc Scenario) build(checkpointEvery uint64) (*scenarioEnv, error) {
 		Groups:         sc.Groups,
 		ObjectsPerFile: sc.K,
 		Policy:         pol,
-		MigrationMode:  &mode,
+		MigrationMode:  mode,
 		Lambda:         sc.Lambda,
 		Seed:           sc.Seed,
 		Cluster: cluster.Config{

@@ -6,6 +6,7 @@ import (
 	"edm/internal/cluster"
 	"edm/internal/metrics"
 	"edm/internal/migration"
+	"edm/internal/policy"
 	"edm/internal/sim"
 	"edm/internal/trace"
 )
@@ -94,10 +95,14 @@ type goldenRun struct {
 // runChecked executes one (policy, workload) cell with the paper's
 // midpoint-shuffle methodology and the full invariant machinery on: the
 // cluster's state self-check plus the event-stream checker.
-func runChecked(policy string, opts GoldenOptions) (*goldenRun, error) {
-	p, ok := trace.LookupProfile(opts.Trace)
-	if !ok {
-		return nil, fmt.Errorf("unknown trace profile %q", opts.Trace)
+func runChecked(name string, opts GoldenOptions) (*goldenRun, error) {
+	pol, err := policy.Parse(name)
+	if err != nil {
+		return nil, err
+	}
+	p, err := trace.Workload(opts.Trace)
+	if err != nil {
+		return nil, err
 	}
 	tr, err := trace.Generate(p.Scaled(opts.Scale), opts.Seed)
 	if err != nil {
@@ -114,20 +119,8 @@ func runChecked(policy string, opts GoldenOptions) (*goldenRun, error) {
 		// away).
 		ResponseBucket: sim.Second / 2,
 	}
-	mcfg := migration.DefaultConfig()
-	mcfg.Lambda = opts.Lambda
-	var planner migration.Planner
-	switch policy {
-	case "baseline":
-		cfg.Migration = cluster.MigrateNever
-	case "hdf":
-		cfg.Migration, planner = cluster.MigrateMidpoint, migration.NewHDF(mcfg)
-	case "cdf":
-		cfg.Migration, planner = cluster.MigrateMidpoint, migration.NewCDF(mcfg)
-	case "cmt":
-		cfg.Migration, planner = cluster.MigrateMidpoint, migration.NewCMT(mcfg)
-	default:
-		return nil, fmt.Errorf("unknown policy %q", policy)
+	if pol != policy.Baseline {
+		cfg.Migration = cluster.MigrateMidpoint
 	}
 	ck := Wrap(nil)
 	cfg.Recorder = ck
@@ -136,7 +129,9 @@ func runChecked(policy string, opts GoldenOptions) (*goldenRun, error) {
 		return nil, err
 	}
 	Bind(ck, cl)
-	if planner != nil {
+	mcfg := migration.DefaultConfig()
+	mcfg.Lambda = opts.Lambda
+	if planner := pol.Planner(mcfg); planner != nil {
 		cl.SetPlanner(planner)
 	}
 	res, err := cl.Run()
@@ -161,12 +156,12 @@ var goldenPolicies = []string{"baseline", "hdf", "cdf", "cmt"}
 func Golden(opts GoldenOptions) []ShapeResult {
 	opts = opts.withDefaults()
 	runs := make(map[string]*goldenRun, len(goldenPolicies))
-	for _, policy := range goldenPolicies {
-		out, err := runChecked(policy, opts)
+	for _, name := range goldenPolicies {
+		out, err := runChecked(name, opts)
 		if err != nil {
-			return []ShapeResult{{Name: "run-" + policy, Err: err}}
+			return []ShapeResult{{Name: "run-" + name, Err: err}}
 		}
-		runs[policy] = out
+		runs[name] = out
 	}
 
 	results := []ShapeResult{shapeInvariants(runs)}
@@ -186,11 +181,11 @@ func Golden(opts GoldenOptions) []ShapeResult {
 func shapeInvariants(runs map[string]*goldenRun) ShapeResult {
 	s := ShapeResult{Name: "invariants"}
 	events := 0
-	for _, policy := range goldenPolicies {
-		run := runs[policy]
+	for _, name := range goldenPolicies {
+		run := runs[name]
 		events += run.rep.Events
 		if err := run.rep.Err(); err != nil && s.Err == nil {
-			s.Err = fmt.Errorf("%s run: %v\n%s", policy, err, run.rep)
+			s.Err = fmt.Errorf("%s run: %v\n%s", name, err, run.rep)
 		}
 	}
 	s.Detail = fmt.Sprintf("%d events checked across %d runs", events, len(runs))
@@ -202,7 +197,7 @@ func shapeInvariants(runs map[string]*goldenRun) ShapeResult {
 // problem EDM exists to fix.
 func shapeWearVariance(base *cluster.Result) ShapeResult {
 	s := ShapeResult{Name: "fig1-wear-variance"}
-	rsd := rsdOfCounts(base.EraseCounts)
+	rsd := metrics.RSD(base.EraseCounts)
 	s.Detail = fmt.Sprintf("baseline erase RSD %.3f, %d erases", rsd, base.AggregateErases)
 	switch {
 	case base.AggregateErases == 0:
@@ -296,13 +291,4 @@ func peakMean(points []metrics.Point) float64 {
 		}
 	}
 	return peak
-}
-
-// rsdOfCounts is the relative standard deviation of per-device counters.
-func rsdOfCounts(counts []uint64) float64 {
-	vals := make([]float64, len(counts))
-	for i, c := range counts {
-		vals[i] = float64(c)
-	}
-	return metrics.RSD(vals)
 }

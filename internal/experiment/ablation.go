@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"edm"
 	"edm/internal/cluster"
+	"edm/internal/metrics"
 	"edm/internal/migration"
 	"edm/internal/sim"
 )
@@ -48,31 +50,16 @@ func (r *AblationResult) Format() string {
 	return b.String()
 }
 
-// ablationRun executes home02 on 16 OSDs with a custom planner factory.
-// Periodic-trigger runs compress the wear monitor's cadence to match the
-// scaled replay's virtual timescale (the paper's one-minute cadence is
-// calibrated to a multi-hour replay).
-func ablationRun(opts Options, label string, mode cluster.MigrationMode, planner migration.Planner) AblationRow {
-	tr, err := buildTrace("home02", opts)
-	if err != nil {
-		return AblationRow{Label: label, Err: err}
+// ablationRun executes spec on home02 with 16 OSDs. Periodic-trigger
+// runs compress the wear monitor's cadence to match the scaled replay's
+// virtual timescale (the paper's one-minute cadence is calibrated to a
+// multi-hour replay).
+func ablationRun(opts Options, label string, spec edm.Spec) AblationRow {
+	spec.Workload, spec.OSDs = "home02", 16
+	if spec.MigrationMode != nil && *spec.MigrationMode == cluster.MigratePeriodic {
+		spec.Cluster.TemperatureInterval = sim.Second
 	}
-	cfg := cluster.Config{OSDs: 16, Groups: 4, ObjectsPerFile: 4, Seed: opts.Seed, Migration: mode}
-	if mode == cluster.MigratePeriodic {
-		cfg.TemperatureInterval = sim.Second
-	}
-	scr := scratchPool.Get().(*cluster.Scratch)
-	cfg.Scratch = scr
-	cl, err := cluster.New(cfg, tr)
-	if err != nil {
-		scratchPool.Put(scr)
-		return AblationRow{Label: label, Err: err}
-	}
-	if planner != nil {
-		cl.SetPlanner(planner)
-	}
-	out, err := cl.Run()
-	scratchPool.Put(cl.Release())
+	out, err := run(opts, "ablation."+label, spec)
 	if err != nil {
 		return AblationRow{Label: label, Err: err}
 	}
@@ -80,11 +67,14 @@ func ablationRun(opts Options, label string, mode cluster.MigrationMode, planner
 		Label:        label,
 		Throughput:   out.ThroughputOps,
 		Erases:       out.AggregateErases,
-		EraseRSD:     rsdOf(out.EraseCounts),
+		EraseRSD:     metrics.RSD(out.EraseCounts),
 		MovedObjects: out.MovedObjects,
 		RemapPeak:    out.RemapPeak,
 	}
 }
+
+// periodic is the controller mode of the periodic-trigger ablations.
+var periodic = cluster.MigratePeriodic
 
 // AblationLambda sweeps the trigger threshold λ under periodic-trigger
 // HDF: small λ migrates eagerly, large λ tolerates imbalance (§III.B.2
@@ -99,11 +89,11 @@ func AblationLambda(opts Options) *AblationResult {
 	rows := make([]AblationRow, len(lambdas))
 	jobs := make([]func(), len(lambdas))
 	for i, l := range lambdas {
-		i, l := i, l
 		jobs[i] = func() {
 			cfg := migration.DefaultConfig()
 			cfg.Lambda = l
-			rows[i] = ablationRun(opts, fmt.Sprintf("lambda=%.2f", l), cluster.MigratePeriodic, migration.NewHDF(cfg))
+			rows[i] = ablationRun(opts, fmt.Sprintf("lambda=%.2f", l),
+				edm.Spec{Policy: HDF, MigrationMode: &periodic, MigrationConfig: &cfg})
 		}
 	}
 	pool(opts.Parallelism, jobs)
@@ -120,17 +110,14 @@ func AblationRemapPreference(opts Options) *AblationResult {
 		Note: "PreferRemapped re-moves table entries instead of growing the table (§III.C)",
 	}
 	rows := make([]AblationRow, 2)
-	jobs := []func(){
-		func() {
+	jobs := make([]func(), 2)
+	for i, setting := range []string{"on", "off"} {
+		jobs[i] = func() {
 			cfg := migration.DefaultConfig()
-			cfg.PreferRemapped = true
-			rows[0] = ablationRun(opts, "prefer-remapped=on", cluster.MigratePeriodic, migration.NewHDF(cfg))
-		},
-		func() {
-			cfg := migration.DefaultConfig()
-			cfg.PreferRemapped = false
-			rows[1] = ablationRun(opts, "prefer-remapped=off", cluster.MigratePeriodic, migration.NewHDF(cfg))
-		},
+			cfg.PreferRemapped = setting == "on"
+			rows[i] = ablationRun(opts, "prefer-remapped="+setting,
+				edm.Spec{Policy: HDF, MigrationMode: &periodic, MigrationConfig: &cfg})
+		}
 	}
 	pool(opts.Parallelism, jobs)
 	res.Rows = rows
@@ -150,42 +137,8 @@ func AblationGroups(opts Options) *AblationResult {
 	rows := make([]AblationRow, len(groups))
 	jobs := make([]func(), len(groups))
 	for i, m := range groups {
-		i, m := i, m
 		jobs[i] = func() {
-			label := fmt.Sprintf("m=%d", m)
-			tr, err := buildTrace("home02", opts)
-			if err != nil {
-				rows[i] = AblationRow{Label: label, Err: err}
-				return
-			}
-			k := 4
-			if m < k {
-				k = m
-			}
-			cfg := cluster.Config{OSDs: 16, Groups: m, ObjectsPerFile: k, Seed: opts.Seed, Migration: cluster.MigrateMidpoint}
-			scr := scratchPool.Get().(*cluster.Scratch)
-			cfg.Scratch = scr
-			cl, err := cluster.New(cfg, tr)
-			if err != nil {
-				scratchPool.Put(scr)
-				rows[i] = AblationRow{Label: label, Err: err}
-				return
-			}
-			cl.SetPlanner(migration.NewHDF(migration.DefaultConfig()))
-			out, err := cl.Run()
-			scratchPool.Put(cl.Release())
-			if err != nil {
-				rows[i] = AblationRow{Label: label, Err: err}
-				return
-			}
-			rows[i] = AblationRow{
-				Label:        label,
-				Throughput:   out.ThroughputOps,
-				Erases:       out.AggregateErases,
-				EraseRSD:     rsdOf(out.EraseCounts),
-				MovedObjects: out.MovedObjects,
-				RemapPeak:    out.RemapPeak,
-			}
+			rows[i] = ablationRun(opts, fmt.Sprintf("m=%d", m), edm.Spec{Policy: HDF, Groups: m})
 		}
 	}
 	pool(opts.Parallelism, jobs)
@@ -205,11 +158,11 @@ func AblationCDFCutoff(opts Options) *AblationResult {
 	rows := make([]AblationRow, len(cutoffs))
 	jobs := make([]func(), len(cutoffs))
 	for i, c := range cutoffs {
-		i, c := i, c
 		jobs[i] = func() {
 			cfg := migration.DefaultConfig()
 			cfg.MinSourceUtilization = c
-			rows[i] = ablationRun(opts, fmt.Sprintf("cutoff=%.2f", c), cluster.MigrateMidpoint, migration.NewCDF(cfg))
+			rows[i] = ablationRun(opts, fmt.Sprintf("cutoff=%.2f", c),
+				edm.Spec{Policy: CDF, MigrationConfig: &cfg})
 		}
 	}
 	pool(opts.Parallelism, jobs)

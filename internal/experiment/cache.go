@@ -3,6 +3,7 @@ package experiment
 import (
 	"sync"
 
+	"edm"
 	"edm/internal/cluster"
 	"edm/internal/trace"
 )
@@ -29,9 +30,10 @@ var (
 // accumulating memory.
 const traceCacheLimit = 64
 
-// cachedTrace returns the memoized trace for the key, generating and
-// caching it on first use.
-func cachedTrace(name string, opts Options) (*trace.Trace, error) {
+// buildTrace materialises a named workload at the experiment scale and
+// seed, memoizing the result: the matrix replays one generated trace
+// under many policies and cluster sizes, and replay never mutates it.
+func buildTrace(name string, opts Options) (*trace.Trace, error) {
 	key := traceKey{name: name, scale: opts.Scale, seed: opts.Seed}
 	traceMu.Lock()
 	tr := traceCache[key]
@@ -39,7 +41,7 @@ func cachedTrace(name string, opts Options) (*trace.Trace, error) {
 	if tr != nil {
 		return tr, nil
 	}
-	tr, err := generateTrace(name, opts)
+	tr, err := edm.BuildTrace(edm.Spec{Workload: name, Scale: opts.Scale, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -54,5 +56,6 @@ func cachedTrace(name string, opts Options) (*trace.Trace, error) {
 
 // scratchPool recycles per-run hot-path buffers (RAID access scratch,
 // completion records, histogram storage) across the worker pool, so a
-// 56-run matrix reuses memory instead of re-growing it 56 times.
+// 56-run matrix reuses memory instead of re-growing it 56 times: run
+// donates one to edm.Run, which refills it when the run completes.
 var scratchPool = sync.Pool{New: func() any { return &cluster.Scratch{} }}

@@ -86,12 +86,11 @@ func (s CellSpec) String() string {
 // cell would run inside a local Matrix sweep.
 func (s CellSpec) options(ctx context.Context) Options {
 	return Options{
-		Context:  ctx,
-		Scale:    s.Scale,
-		Seed:     s.Seed,
-		Lambda:   s.Lambda,
-		Check:    s.Check,
-		expLabel: "cell",
+		Context: ctx,
+		Scale:   s.Scale,
+		Seed:    s.Seed,
+		Lambda:  s.Lambda,
+		Check:   s.Check,
 	}.withDefaults()
 }
 
@@ -100,7 +99,9 @@ func (s CellSpec) options(ctx context.Context) Options {
 // both the coordinator's graceful-degradation path and the reference
 // a remote execution must reproduce.
 func RunCell(ctx context.Context, s CellSpec) (*cluster.Result, error) {
-	return runOne(s.Trace, s.OSDs, s.Policy, s.options(ctx))
+	opts := s.options(ctx)
+	spec := paperSpec(s.Trace, s.OSDs, s.Policy, opts)
+	return run(opts, runLabel("cell", spec), spec)
 }
 
 // Cell packages an execution outcome as the figure-table cell for this

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"edm"
 )
 
 // cellTestOpts is a sweep small enough (~15ms per cell) for end-to-end
@@ -135,6 +137,35 @@ func TestRunCellMatchesMatrix(t *testing.T) {
 		}
 		if string(got) != string(want) {
 			t.Fatalf("RunCell(%s) result not byte-identical to matrix cell", spec)
+		}
+	}
+}
+
+// TestRunCellIsEdmRun pins the one run path: a cell run through the
+// harness gives the bytes edm.Run gives for the cell's workload, scale,
+// seed, size, policy and λ, with no experiment-side configuration.
+func TestRunCellIsEdmRun(t *testing.T) {
+	ctx := context.Background()
+	for _, cs := range MatrixSpecs(cellTestOpts()) {
+		got, err := RunCell(ctx, cs)
+		if err != nil {
+			t.Fatalf("RunCell(%s): %v", cs, err)
+		}
+		want, err := edm.Run(ctx, edm.Spec{Workload: cs.Trace, Scale: cs.Scale, Seed: cs.Seed,
+			OSDs: cs.OSDs, Policy: cs.Policy, Lambda: cs.Lambda})
+		if err != nil {
+			t.Fatalf("edm.Run(%s): %v", cs, err)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotJSON) != string(wantJSON) {
+			t.Fatalf("RunCell(%s) result differs from edm.Run of the cell's spec", cs)
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"edm/internal/cluster"
-	"edm/internal/metrics"
 	"edm/internal/policy"
 	"edm/internal/telemetry"
 	"edm/internal/trace"
@@ -71,15 +70,11 @@ type Options struct {
 	Context context.Context
 
 	// Telemetry, when enabled, makes every simulation the experiments
-	// launch through the shared runner write its event log, snapshot
-	// CSV and Chrome trace into Telemetry.Dir, one file set per
-	// (experiment, trace, OSDs, policy) run.
+	// launch write its event log, snapshot CSV and Chrome trace into
+	// Telemetry.Dir, one file set per run, prefixed by experiment so
+	// runs of one (trace, OSDs, policy) cell under different
+	// experiments (fig1, fig7, the matrix) keep separate files.
 	Telemetry telemetry.SinkConfig
-
-	// expLabel prefixes telemetry file names so experiments that replay
-	// the same (trace, OSDs, policy) cell with different tweaks (fig1,
-	// fig7, the matrix) do not overwrite each other's files.
-	expLabel string
 }
 
 func (o Options) withDefaults() Options {
@@ -145,16 +140,13 @@ type Cell struct {
 // MatrixSpecs remotely and merges by spec reassembles this exact slice.
 func Matrix(opts Options) []Cell {
 	opts = opts.withDefaults()
-	opts.expLabel = "matrix"
 	specs := MatrixSpecs(opts)
 	cells := make([]Cell, len(specs))
 	jobs := make([]func(), len(cells))
-	for i := range cells {
-		c, s := &cells[i], specs[i]
-		cells[i] = Cell{Trace: s.Trace, OSDs: s.OSDs, Policy: s.Policy}
-		jobs[i] = func() {
-			c.Result, c.Err = runOne(c.Trace, c.OSDs, c.Policy, opts)
-		}
+	for i, s := range specs {
+		c, spec := &cells[i], paperSpec(s.Trace, s.OSDs, s.Policy, opts)
+		*c = s.Cell(nil, nil)
+		jobs[i] = func() { c.Result, c.Err = run(opts, runLabel("matrix", spec), spec) }
 	}
 	pool(opts.Parallelism, jobs)
 	return cells
@@ -211,15 +203,6 @@ func (t *table) String() string {
 		line(r)
 	}
 	return b.String()
-}
-
-// rsdOf computes the relative standard deviation of uint64 counters.
-func rsdOf(xs []uint64) float64 {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return metrics.RSD(fs)
 }
 
 // sortedKeys returns map keys in sorted order (deterministic output).

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"edm/internal/telemetry"
 )
 
 // fastOpts keeps experiment tests quick: deep scale, one cluster size,
@@ -186,6 +189,28 @@ func TestAblationsRun(t *testing.T) {
 		if out := res.Format(); !strings.Contains(out, "Ablation") {
 			t.Fatalf("format:\n%s", out)
 		}
+	}
+}
+
+// TestAblationHonoursCheckAndTelemetry: Options.Check and
+// Options.Telemetry reach the ablation runs like every other run.
+func TestAblationHonoursCheckAndTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	opts := fastOpts()
+	opts.Check = true
+	opts.Telemetry = telemetry.SinkConfig{Dir: dir, Events: "all"}
+	res := AblationGroups(opts)
+	for _, row := range res.Rows {
+		if row.Err != nil {
+			t.Fatalf("%s: %v", row.Label, row.Err)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "ablation.*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3 * len(res.Rows); len(files) != want {
+		t.Fatalf("ablation wrote %d telemetry files, want %d: %v", len(files), want, files)
 	}
 }
 

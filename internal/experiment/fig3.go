@@ -88,17 +88,15 @@ func measureUr(name string, u float64, opts Options) (float64, error) {
 	// single-device experiment fast without losing the skew shape. The
 	// random workload keeps a fixed footprint — scaling it down would
 	// shrink the device below meaningful GC geometry.
-	var tr *trace.Trace
-	var err error
-	if name == "random" {
-		tr, err = trace.Generate(trace.RandomProfile(500, 100000), opts.Seed)
-	} else {
-		p, ok := trace.LookupProfile(name)
-		if !ok {
-			return 0, fmt.Errorf("experiment: unknown workload %q", name)
+	p := trace.RandomProfile(500, 100000)
+	if name != "random" {
+		named, err := trace.Workload(name)
+		if err != nil {
+			return 0, err
 		}
-		tr, err = trace.Generate(p.Scaled(opts.Scale*2), opts.Seed)
+		p = named.Scaled(opts.Scale * 2)
 	}
+	tr, err := trace.Generate(p, opts.Seed)
 	if err != nil {
 		return 0, err
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"edm/internal/cluster"
+	"edm/internal/metrics"
 	"edm/internal/sim"
 	"edm/internal/trace"
 )
@@ -33,19 +33,19 @@ type Table1Result struct {
 }
 
 // Table1 generates every built-in workload and reports its measured
-// characteristics (at the experiment scale).
+// characteristics (at the experiment scale). The traces come from the
+// memo the simulations replay.
 func Table1(opts Options) (*Table1Result, error) {
 	opts = opts.withDefaults()
 	res := &Table1Result{Scale: opts.Scale}
-	for _, name := range trace.ProfileNames() {
-		p, _ := trace.LookupProfile(name)
-		tr, err := trace.Generate(p.Scaled(opts.Scale), opts.Seed)
+	for _, p := range trace.Profiles() {
+		tr, err := buildTrace(p.Name, opts)
 		if err != nil {
 			return nil, err
 		}
 		st := tr.Stats()
 		res.Rows = append(res.Rows, Table1Row{
-			Workload:    name,
+			Workload:    p.Name,
 			FileCount:   st.FileCount,
 			WriteCount:  st.WriteCount,
 			AvgWrite:    st.AvgWriteSize,
@@ -97,7 +97,6 @@ type Fig1Result struct {
 // Fig1 replays home02, deasna and lair62 on the baseline cluster.
 func Fig1(opts Options) (*Fig1Result, error) {
 	opts = opts.withDefaults()
-	opts.expLabel = "fig1"
 	traces := []string{"home02", "deasna", "lair62"}
 	res := &Fig1Result{OSDs: 8, Series: make([]Fig1Series, len(traces))}
 	jobs := make([]func(), len(traces))
@@ -105,7 +104,8 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	for i, name := range traces {
 		i, name := i, name
 		jobs[i] = func() {
-			out, err := runOne(name, res.OSDs, Baseline, opts)
+			spec := paperSpec(name, res.OSDs, Baseline, opts)
+			out, err := run(opts, runLabel("fig1", spec), spec)
 			if err != nil {
 				errs[i] = err
 				return
@@ -114,8 +114,8 @@ func Fig1(opts Options) (*Fig1Result, error) {
 				Trace:       name,
 				EraseCounts: out.EraseCounts,
 				WritePages:  out.WritePages,
-				EraseRSD:    rsdOf(out.EraseCounts),
-				WriteRSD:    rsdOf(out.WritePages),
+				EraseRSD:    metrics.RSD(out.EraseCounts),
+				WriteRSD:    metrics.RSD(out.WritePages),
 			}
 		}
 	}
@@ -293,7 +293,6 @@ type Fig7Result struct {
 // Fig7 replays home02, deasna and lair62 under baseline, HDF and CDF.
 func Fig7(opts Options) (*Fig7Result, error) {
 	opts = opts.withDefaults()
-	opts.expLabel = "fig7"
 	traces := []string{"home02", "deasna", "lair62"}
 	policies := []Policy{Baseline, HDF, CDF}
 	res := &Fig7Result{OSDs: 16}
@@ -312,9 +311,9 @@ func Fig7(opts Options) (*Fig7Result, error) {
 				// The paper buckets by 3 real minutes over a multi-hour
 				// replay (~1/150 of the run); the scaled replay gets a
 				// proportionally fine bucket.
-				out, err := runOneWith(tr, res.OSDs, p, opts, func(cfg *cluster.Config) {
-					cfg.ResponseBucket = sim.Second / 2
-				})
+				spec := paperSpec(tr, res.OSDs, p, opts)
+				spec.Cluster.ResponseBucket = sim.Second / 2
+				out, err := run(opts, runLabel("fig7", spec), spec)
 				if err != nil {
 					slots[i].err = err
 					return

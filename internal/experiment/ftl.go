@@ -60,9 +60,9 @@ func AblationFTL(opts Options) *FTLResult {
 // measureFTL is measureUr extended to report write amplification and
 // erase counts for a given frontier configuration.
 func measureFTL(name string, u float64, separate bool, policy flash.GCPolicy, opts Options) (ur, wa float64, erases uint64, err error) {
-	p, ok := trace.LookupProfile(name)
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("experiment: unknown workload %q", name)
+	p, err := trace.Workload(name)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	tr, err := trace.Generate(p.Scaled(opts.Scale*2), opts.Seed)
 	if err != nil {

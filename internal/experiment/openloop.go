@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-
-	"edm/internal/cluster"
 )
 
 // OpenLoopRow is one (load level, policy) cell of the open-loop study.
@@ -37,10 +35,10 @@ type OpenLoopResult struct {
 // fractions of the closed-loop baseline capacity.
 func AblationOpenLoop(opts Options) (*OpenLoopResult, error) {
 	opts = opts.withDefaults()
-	opts.expLabel = "openloop"
 	res := &OpenLoopResult{Trace: "home02", OSDs: 16}
 
-	base, err := runOne(res.Trace, res.OSDs, Baseline, opts)
+	spec := paperSpec(res.Trace, res.OSDs, Baseline, opts)
+	base, err := run(opts, runLabel("openloop", spec), spec)
 	if err != nil {
 		return nil, err
 	}
@@ -56,9 +54,9 @@ func AblationOpenLoop(opts Options) (*OpenLoopResult, error) {
 			idx, f, p := i, f, p
 			i++
 			jobs = append(jobs, func() {
-				out, err := runOneWith(res.Trace, res.OSDs, p, opts, func(cfg *cluster.Config) {
-					cfg.OpenLoopRate = res.BaselineOps * f
-				})
+				spec := paperSpec(res.Trace, res.OSDs, p, opts)
+				spec.Cluster.OpenLoopRate = res.BaselineOps * f
+				out, err := run(opts, runLabel("openloop", spec), spec)
 				row := OpenLoopRow{LoadFraction: f, Policy: p, Err: err}
 				if err == nil {
 					row.MeanRTms = out.MeanResponse * 1000

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"edm/internal/cluster"
 	"edm/internal/lifetime"
 )
 
@@ -53,7 +52,6 @@ type ReliabilityRow struct {
 // uniform-group, staggered-group and Diff-RAID reliability structures.
 func Reliability(opts Options) (*ReliabilityResult, error) {
 	opts = opts.withDefaults()
-	opts.expLabel = "reliability"
 	res := &ReliabilityResult{
 		Trace:       "home02",
 		OSDs:        opts.OSDCounts[0],
@@ -64,12 +62,17 @@ func Reliability(opts Options) (*ReliabilityResult, error) {
 	rows := make([]ReliabilityRow, len(AllPolicies))
 	jobs := make([]func(), len(AllPolicies))
 	for i, p := range AllPolicies {
-		i, p := i, p
 		jobs[i] = func() {
-			out, err := runOne(res.Trace, res.OSDs, p, opts)
+			spec := paperSpec(res.Trace, res.OSDs, p, opts)
+			out, err := run(opts, runLabel("reliability", spec), spec)
 			if err != nil {
 				rows[i] = ReliabilityRow{Policy: p, Err: err}
 				return
+			}
+			if p == HDF {
+				// The uniform-group HDF run is the staggered run's
+				// throughput reference.
+				res.UniformThroughput = out.ThroughputOps
 			}
 			wear := make([]lifetime.DeviceWear, len(out.EraseCounts))
 			// All simulated SSDs share a geometry; blocks can be
@@ -124,29 +127,10 @@ func Reliability(opts Options) (*ReliabilityResult, error) {
 
 	// Simulated §III.D staggering: replay with the staggered group
 	// sizes actually configured and measure per-group wear speeds.
-	tr, err := buildTrace(res.Trace, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := cluster.Config{
-		OSDs:           res.OSDs,
-		Groups:         4,
-		ObjectsPerFile: 4,
-		GroupRotate:    true,
-		GroupSizes:     sizes,
-		Seed:           opts.Seed,
-		Migration:      cluster.MigrateMidpoint,
-	}
-	scr := scratchPool.Get().(*cluster.Scratch)
-	cfg.Scratch = scr
-	cl, err := cluster.New(cfg, tr)
-	if err != nil {
-		scratchPool.Put(scr)
-		return nil, err
-	}
-	cl.SetPlanner(plannerFor(HDF, opts))
-	out, err := cl.Run()
-	scratchPool.Put(cl.Release())
+	spec := paperSpec(res.Trace, res.OSDs, HDF, opts)
+	spec.Cluster.GroupRotate = true
+	spec.Cluster.GroupSizes = sizes
+	out, err := run(opts, "reliability.staggered", spec)
 	if err != nil {
 		return nil, err
 	}
@@ -161,12 +145,6 @@ func Reliability(opts Options) (*ReliabilityResult, error) {
 		}
 		res.MeasuredGroupWear[g] = sum / float64(size)
 	}
-	// The uniform-group HDF run provides the throughput reference.
-	uniformOut, err := runOne(res.Trace, res.OSDs, HDF, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.UniformThroughput = uniformOut.ThroughputOps
 	return res, nil
 }
 

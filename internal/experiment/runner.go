@@ -3,115 +3,58 @@ package experiment
 import (
 	"fmt"
 
+	"edm"
 	"edm/internal/cluster"
-	"edm/internal/migration"
-	"edm/internal/trace"
 )
 
-// buildTrace materialises a named workload at the experiment scale,
-// memoizing the result: the matrix replays one generated trace under
-// many policies and cluster sizes, and replay never mutates it.
-func buildTrace(name string, opts Options) (*trace.Trace, error) {
-	return cachedTrace(name, opts)
-}
-
-// generateTrace is the uncached generation path behind buildTrace.
-func generateTrace(name string, opts Options) (*trace.Trace, error) {
-	if name == "random" {
-		return trace.Generate(trace.RandomProfile(2000, 400000).Scaled(opts.Scale), opts.Seed)
-	}
-	p, ok := trace.LookupProfile(name)
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown workload %q: %w", name, trace.ErrUnknownProfile)
-	}
-	return trace.Generate(p.Scaled(opts.Scale), opts.Seed)
-}
-
-// plannerFor constructs the policy's planner (nil for the baseline).
-func plannerFor(p Policy, opts Options) migration.Planner {
-	cfg := migration.DefaultConfig()
-	cfg.Lambda = opts.Lambda
-	switch p {
-	case CMT:
-		return migration.NewCMT(cfg)
-	case HDF:
-		return migration.NewHDF(cfg)
-	case CDF:
-		return migration.NewCDF(cfg)
-	}
-	return nil
-}
-
-// runOne executes a single (trace, OSDs, policy) simulation with the
-// paper's methodology: warm-up to steady state, midpoint shuffle.
-func runOne(name string, osds int, p Policy, opts Options) (*cluster.Result, error) {
-	return runOneWith(name, osds, p, opts, nil)
-}
-
-// runOneWith additionally lets an experiment adjust the cluster config
-// (e.g. Fig. 7's finer response-time buckets) before the run.
-func runOneWith(name string, osds int, p Policy, opts Options, tweak func(*cluster.Config)) (*cluster.Result, error) {
-	ctx := opts.ctx()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("experiment: %s/%d/%s not started: %w", name, osds, p, err)
-	}
-	tr, err := buildTrace(name, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := cluster.Config{
-		OSDs:           osds,
-		Groups:         4,
-		ObjectsPerFile: 4,
-		Seed:           opts.Seed,
-		SelfCheck:      opts.Check,
-	}
-	if p == Baseline {
-		cfg.Migration = cluster.MigrateNever
-	} else {
-		cfg.Migration = cluster.MigrateMidpoint
-	}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	sink, err := opts.Telemetry.NewSink(runLabel(opts.expLabel, name, osds, p))
-	if err != nil {
-		return nil, err
-	}
-	if sink != nil {
-		cfg.Recorder = sink.Tracer
-		cfg.Metrics = sink.Registry
-		cfg.SampleInterval = opts.Telemetry.Sample
-	}
-	// Recycle hot-path buffers from earlier runs in this sweep.
-	scr := scratchPool.Get().(*cluster.Scratch)
-	cfg.Scratch = scr
-	cl, err := cluster.New(cfg, tr)
-	if err != nil {
-		scratchPool.Put(scr)
-		return nil, err
-	}
-	if planner := plannerFor(p, opts); planner != nil {
-		cl.SetPlanner(planner)
-	}
-	res, err := cl.RunContext(ctx)
-	scratchPool.Put(cl.Release())
-	if err != nil {
-		return nil, err
-	}
-	if sink != nil {
-		if err := sink.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+// paperSpec is one (trace, cluster size, policy) run under the paper's
+// §V methodology — m = k = 4 and a forced midpoint shuffle for the
+// migrating policies, which are edm.Spec's defaults — with the options'
+// λ.
+func paperSpec(name string, osds int, p Policy, opts Options) edm.Spec {
+	return edm.Spec{Workload: name, OSDs: osds, Policy: p, Lambda: opts.Lambda}
 }
 
 // runLabel names one run's telemetry file set uniquely within an
 // edmbench invocation: experiment, trace, cluster size, policy.
-func runLabel(exp, trace string, osds int, p Policy) string {
-	if exp == "" {
-		exp = "run"
+func runLabel(exp string, spec edm.Spec) string {
+	return fmt.Sprintf("%s.%s.%d.%s", exp, spec.Workload, spec.OSDs, spec.Policy)
+}
+
+// run executes one simulation of an experiment through edm.Run. It
+// supplies what every run of the harness shares: the memoized trace,
+// the options' scale and seed, the state self-check, a telemetry sink
+// whose files are named by label, and a pooled scratch that edm.Run
+// refills with the run's grown buffers for the next run in the sweep.
+func run(opts Options, label string, spec edm.Spec) (*edm.Result, error) {
+	ctx := opts.ctx()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("experiment: %s not started: %w", label, err)
 	}
-	return fmt.Sprintf("%s.%s.%d.%s", exp, trace, osds, p)
+	tr, err := buildTrace(spec.Workload, opts)
+	if err != nil {
+		return nil, err
+	}
+	spec.Trace, spec.Scale, spec.Seed = tr, opts.Scale, opts.Seed
+	spec.Cluster.SelfCheck = opts.Check
+	sink, err := opts.Telemetry.NewSink(label)
+	if err != nil {
+		return nil, err
+	}
+	if sink != nil {
+		spec.Cluster.Recorder = sink.Tracer
+		spec.Cluster.Metrics = sink.Registry
+		spec.Cluster.SampleInterval = opts.Telemetry.Sample
+	}
+	scr := scratchPool.Get().(*cluster.Scratch)
+	defer scratchPool.Put(scr)
+	spec.Cluster.Scratch = scr
+	res, err := edm.Run(ctx, spec)
+	if err == nil && sink != nil {
+		err = sink.Flush()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }

@@ -110,11 +110,12 @@ func (r *Running) RSD() float64 {
 	return r.StdDev() / r.mean
 }
 
-// RSD computes the relative standard deviation of a slice in one pass.
-func RSD(xs []float64) float64 {
+// RSD computes the relative standard deviation of a slice in one pass;
+// per-device counters (erase counts, write pages) pass as they are.
+func RSD[T uint64 | float64](xs []T) float64 {
 	var r Running
 	for _, x := range xs {
-		r.Observe(x)
+		r.Observe(float64(x))
 	}
 	return r.RSD()
 }

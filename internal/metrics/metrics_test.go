@@ -93,8 +93,18 @@ func TestRSDHelper(t *testing.T) {
 	if got := RSD([]float64{1, 1, 1}); got != 0 {
 		t.Fatalf("RSD of constants = %v", got)
 	}
-	if got := RSD(nil); got != 0 {
+	if got := RSD[float64](nil); got != 0 {
 		t.Fatalf("RSD of empty = %v", got)
+	}
+	// Counters convert element by element, in order: bit-identical to
+	// the float64 slice of the same values.
+	counts := []uint64{3, 1 << 40, 7, 0, 12345}
+	fs := make([]float64, len(counts))
+	for i, c := range counts {
+		fs[i] = float64(c)
+	}
+	if got, want := RSD(counts), RSD(fs); got != want {
+		t.Fatalf("RSD(uint64) = %v, RSD(float64) = %v", got, want)
 	}
 }
 

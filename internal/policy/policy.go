@@ -7,6 +7,8 @@ package policy
 import (
 	"fmt"
 	"strings"
+
+	"edm/internal/migration"
 )
 
 // Policy selects the migration scheme for a run.
@@ -37,6 +39,21 @@ func (p Policy) String() string {
 		return "EDM-CDF"
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
+}
+
+// Planner builds the policy's migration planner with the given
+// tunables; the baseline migrates nothing and gets nil. It is the one
+// policy → planner mapping: edm.Spec and the golden suite both use it.
+func (p Policy) Planner(cfg migration.Config) migration.Planner {
+	switch p {
+	case CMT:
+		return migration.NewCMT(cfg)
+	case HDF:
+		return migration.NewHDF(cfg)
+	case CDF:
+		return migration.NewCDF(cfg)
+	}
+	return nil
 }
 
 // MarshalText encodes the policy as its canonical CLI spelling

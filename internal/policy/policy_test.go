@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"edm/internal/migration"
 )
 
 func TestStringsMatchFigureLabels(t *testing.T) {
@@ -111,5 +113,30 @@ func TestJSONEncodesByName(t *testing.T) {
 	var got Policy
 	if err := json.Unmarshal([]byte(`"EDM-CDF"`), &got); err != nil || got != CDF {
 		t.Fatalf("json.Unmarshal(\"EDM-CDF\") = %v, %v", got, err)
+	}
+}
+
+func TestPlanner(t *testing.T) {
+	cfg := migration.DefaultConfig()
+	cfg.Lambda = 0.42
+	for _, c := range []struct {
+		p      Policy
+		name   string
+		lambda func(migration.Planner) float64
+	}{
+		{CMT, "CMT", func(pl migration.Planner) float64 { return pl.(*migration.CMT).Cfg.Lambda }},
+		{HDF, "EDM-HDF", func(pl migration.Planner) float64 { return pl.(*migration.HDF).Cfg.Lambda }},
+		{CDF, "EDM-CDF", func(pl migration.Planner) float64 { return pl.(*migration.CDF).Cfg.Lambda }},
+	} {
+		pl := c.p.Planner(cfg)
+		if pl == nil || pl.Name() != c.name {
+			t.Fatalf("%v.Planner() = %v, want %s", c.p, pl, c.name)
+		}
+		if l := c.lambda(pl); l != 0.42 {
+			t.Fatalf("%v planner λ = %v, want 0.42", c.p, l)
+		}
+	}
+	if pl := Baseline.Planner(cfg); pl != nil {
+		t.Fatalf("baseline planner = %v, want nil", pl)
 	}
 }

@@ -143,11 +143,8 @@ func (r RunRequest) Spec() (edm.Spec, error) {
 	if spec.Workload == "" {
 		return edm.Spec{}, errors.New("server: missing workload")
 	}
-	if spec.Workload != "random" {
-		if _, ok := trace.LookupProfile(spec.Workload); !ok {
-			return edm.Spec{}, fmt.Errorf("server: workload %q (valid: %v, random): %w",
-				spec.Workload, trace.ProfileNames(), edm.ErrUnknownWorkload)
-		}
+	if _, err := trace.Workload(spec.Workload); err != nil {
+		return edm.Spec{}, fmt.Errorf("server: %w", err)
 	}
 	if spec.Scale == 0 {
 		spec.Scale = 20
@@ -166,20 +163,13 @@ func (r RunRequest) Spec() (edm.Spec, error) {
 		spec.Policy = p
 	}
 	if r.Migration != "" {
-		mode, err := parseMigrationMode(r.Migration)
+		mode, err := cluster.ParseMigrationMode(r.Migration)
 		if err != nil {
 			return edm.Spec{}, fmt.Errorf("server: %w", err)
 		}
 		spec.MigrationMode = &mode
 	}
 	return spec, nil
-}
-
-// parseMigrationMode maps the request's migration string to a mode; the
-// names are owned by the cluster package (one source of truth with the
-// TextMarshaler encoding).
-func parseMigrationMode(s string) (cluster.MigrationMode, error) {
-	return cluster.ParseMigrationMode(s)
 }
 
 // job is one accepted run: its request, its lifecycle state, and the

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"edm/internal/rng"
 )
@@ -215,6 +216,22 @@ func RandomProfile(fileCount, ops int) Profile {
 		FileSizeCV:   0.3,
 		RepeatProb:   0,
 	}
+}
+
+// Workload returns the profile a workload name selects: a Table I
+// profile, or "random" — the Fig. 3 uniformly random workload at the
+// size every replay of it uses. It is the one workload name → profile
+// mapping. An unknown name wraps ErrUnknownProfile and lists every
+// valid one.
+func Workload(name string) (Profile, error) {
+	if name == "random" {
+		return RandomProfile(2000, 400000), nil
+	}
+	if p, ok := LookupProfile(name); ok {
+		return p, nil
+	}
+	return Profile{}, fmt.Errorf("unknown workload %q (valid: %s, random): %w",
+		name, strings.Join(ProfileNames(), ", "), ErrUnknownProfile)
 }
 
 // userState carries one user's temporal-locality context.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -245,6 +246,34 @@ func TestRandomProfile(t *testing.T) {
 	}
 	if share := float64(topOps) / float64(st.WriteCount); share > 0.2 {
 		t.Fatalf("random workload too skewed: top-10 share %.2f", share)
+	}
+}
+
+func TestWorkload(t *testing.T) {
+	for _, ok := range []string{"home02", "deasna", "lair62b", "random"} {
+		p, err := Workload(ok)
+		if err != nil {
+			t.Errorf("Workload(%q): %v", ok, err)
+		} else if p.Name != ok {
+			t.Errorf("Workload(%q) = profile %q", ok, p.Name)
+		}
+	}
+	if p, _ := Workload("random"); p != RandomProfile(2000, 400000) {
+		t.Errorf("Workload(random) = %+v", p)
+	}
+	for _, bad := range []string{"", "home99", "HOME02", "web"} {
+		_, err := Workload(bad)
+		if err == nil {
+			t.Errorf("Workload(%q): want error", bad)
+			continue
+		}
+		if !errors.Is(err, ErrUnknownProfile) {
+			t.Errorf("Workload(%q) error %q does not wrap ErrUnknownProfile", bad, err)
+		}
+		want := "(valid: " + strings.Join(ProfileNames(), ", ") + ", random)"
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Workload(%q) error %q should list %s", bad, err, want)
+		}
 	}
 }
 

@@ -94,11 +94,12 @@ func WithCheck() RunOption {
 	return func(o *runOptions) { o.check = true }
 }
 
-// runEnv is a wired, ready-to-run cluster plus the option-driven
-// decorations that need post-run work.
+// runEnv is a wired, ready-to-run cluster plus the pieces that need
+// post-run work: the option-driven checker and a donated scratch.
 type runEnv struct {
-	cl *cluster.Cluster
-	ck *check.Checker
+	cl      *cluster.Cluster
+	ck      *check.Checker
+	scratch *cluster.Scratch
 }
 
 // setup builds the trace and the cluster and applies every option:
@@ -202,17 +203,21 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 			return snapshot.Capture(cl, specJSON, traceData).EncodeTo(w)
 		})
 	}
-	return &runEnv{cl: cl, ck: ck}, nil
+	return &runEnv{cl: cl, ck: ck, scratch: spec.Cluster.Scratch}, nil
 }
 
-// audit is the post-run half of WithCheck.
-func (e *runEnv) audit() error {
-	if e.ck == nil {
-		return nil
+// finish is the post-run half of Run and Resume: the WithCheck audit,
+// then the run's grown buffers go back into a donated Scratch so the
+// caller can recycle them into its next run.
+func (e *runEnv) finish() error {
+	if e.ck != nil {
+		rep := check.Audit(e.cl, e.ck)
+		if err := rep.Err(); err != nil {
+			return fmt.Errorf("edm: %w\n%s", err, rep)
+		}
 	}
-	rep := check.Audit(e.cl, e.ck)
-	if err := rep.Err(); err != nil {
-		return fmt.Errorf("edm: %w\n%s", err, rep)
+	if e.scratch != nil {
+		*e.scratch = *e.cl.Release()
 	}
 	return nil
 }
@@ -241,7 +246,7 @@ func Run(ctx context.Context, spec Spec, opts ...RunOption) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := env.audit(); err != nil {
+	if err := env.finish(); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -296,7 +301,7 @@ func Resume(ctx context.Context, r io.Reader, opts ...RunOption) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	if err := env.audit(); err != nil {
+	if err := env.finish(); err != nil {
 		return nil, err
 	}
 	return res, nil
