@@ -45,7 +45,7 @@ func main() {
 		parallel = flag.Int("parallel", 0, "worker pool size (0 = NumCPU)")
 		osds     = flag.String("osds", "16,20", "comma-separated cluster sizes for the matrix experiments")
 		lambda   = flag.Float64("lambda", 0.1, "wear-imbalance trigger threshold λ")
-		selfchk  = flag.Bool("check", false, "run every experiment simulation with the cluster state self-check enabled")
+		selfchk  = flag.Bool("check", false, "run every cluster simulation under full invariant checking (edm.WithCheck: event-stream checker + end-of-run state audit)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock cap on the whole invocation (0 = none); Ctrl-C also cancels")
 
 		stressN         = flag.Int("stress-n", 1000, "stress: number of randomized scenarios (seeded from -seed)")
@@ -131,7 +131,7 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
-	counts, err := parseOSDCounts(*osds)
+	counts, err := experiment.ParseOSDCounts(*osds)
 	if err != nil {
 		fatalf("%v", err)
 	}

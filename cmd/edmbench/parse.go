@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -51,17 +50,4 @@ func parseExperiments(s string) (map[string]bool, error) {
 			strings.Join(experimentNames, ", "))
 	}
 	return want, nil
-}
-
-// parseOSDCounts parses the comma-separated -osds list of cluster sizes.
-func parseOSDCounts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -osds value %q (want a comma-separated list of positive cluster sizes, e.g. 16,20)", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"edm/internal/experiment"
 )
 
 func TestParseExperiments(t *testing.T) {
@@ -61,6 +64,8 @@ func allExperiments() []string {
 	return out
 }
 
+// TestParseOSDCounts checks the -osds values edmbench hands to the shared
+// experiment.ParseOSDCounts, and that a bad value is reported by flag name.
 func TestParseOSDCounts(t *testing.T) {
 	cases := []struct {
 		in      string
@@ -76,25 +81,21 @@ func TestParseOSDCounts(t *testing.T) {
 		{"16,x", nil, true},
 	}
 	for _, c := range cases {
-		got, err := parseOSDCounts(c.in)
+		got, err := experiment.ParseOSDCounts(c.in)
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("parseOSDCounts(%q): want error, got %v", c.in, got)
+				t.Errorf("ParseOSDCounts(%q): want error, got %v", c.in, got)
+			} else if !strings.Contains(err.Error(), "-osds") {
+				t.Errorf("ParseOSDCounts(%q) error %q does not name -osds", c.in, err)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("parseOSDCounts(%q): %v", c.in, err)
+			t.Errorf("ParseOSDCounts(%q): %v", c.in, err)
 			continue
 		}
-		if len(got) != len(c.want) {
-			t.Errorf("parseOSDCounts(%q) = %v, want %v", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("parseOSDCounts(%q)[%d] = %d, want %d", c.in, i, got[i], c.want[i])
-			}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseOSDCounts(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

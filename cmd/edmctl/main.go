@@ -69,7 +69,7 @@ func sweep(args []string) {
 		osds        = fs.String("osds", "16,20", "comma-separated cluster sizes")
 		traces      = fs.String("traces", "", "comma-separated workloads (default: all seven)")
 		lambda      = fs.Float64("lambda", 0.1, "wear-imbalance trigger threshold λ")
-		check       = fs.Bool("check", false, "run every cell with the cluster state self-check enabled")
+		check       = fs.Bool("check", false, "run every cell under full invariant checking (edm.WithCheck: event-stream checker + end-of-run state audit)")
 		timeout     = fs.Duration("timeout", 0, "wall-clock cap on the whole sweep (0 = none); Ctrl-C also cancels")
 
 		slots       = fs.Int("slots", 0, "in-flight cells per worker (0: size from the worker's /v1/version)")
@@ -92,7 +92,7 @@ func sweep(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	counts, err := parseOSDCounts(*osds)
+	counts, err := experiment.ParseOSDCounts(*osds)
 	if err != nil {
 		fatalf("%v", err)
 	}

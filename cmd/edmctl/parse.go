@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -50,19 +49,6 @@ func parseFigures(s string) ([]string, error) {
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no experiments selected (valid: %s, all)",
 			strings.Join(sweepFigures, ", "))
-	}
-	return out, nil
-}
-
-// parseOSDCounts parses the comma-separated -osds list of cluster sizes.
-func parseOSDCounts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -osds value %q (want a comma-separated list of positive cluster sizes, e.g. 16,20)", part)
-		}
-		out = append(out, n)
 	}
 	return out, nil
 }

@@ -2,7 +2,10 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"edm/internal/experiment"
 )
 
 func TestParseFigures(t *testing.T) {
@@ -31,13 +34,18 @@ func TestParseFigures(t *testing.T) {
 	}
 }
 
+// TestParseOSDCounts checks the -osds values edmctl hands to the shared
+// experiment.ParseOSDCounts, and that a bad value is reported by flag name.
 func TestParseOSDCounts(t *testing.T) {
-	if got, err := parseOSDCounts("16, 20"); err != nil || !reflect.DeepEqual(got, []int{16, 20}) {
-		t.Errorf("parseOSDCounts(\"16, 20\") = %v, %v", got, err)
+	if got, err := experiment.ParseOSDCounts("16, 20"); err != nil || !reflect.DeepEqual(got, []int{16, 20}) {
+		t.Errorf("ParseOSDCounts(\"16, 20\") = %v, %v", got, err)
 	}
 	for _, bad := range []string{"", "16,zero", "0", "-4"} {
-		if _, err := parseOSDCounts(bad); err == nil {
-			t.Errorf("parseOSDCounts(%q): want error", bad)
+		_, err := experiment.ParseOSDCounts(bad)
+		if err == nil {
+			t.Errorf("ParseOSDCounts(%q): want error", bad)
+		} else if !strings.Contains(err.Error(), "-osds") {
+			t.Errorf("ParseOSDCounts(%q) error %q does not name -osds", bad, err)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // Runs are submitted as jobs, executed on a bounded worker pool behind
 // a priority-aware admission queue, and observed by polling or by
 // NDJSON streaming. Jobs may carry a priority class (batch, normal,
-// interactive) and a tenant for weighted fair-share; when every worker
+// interactive) and a tenant for fair share; when every worker
 // is busy, an interactive arrival preempts the youngest lowest-class
 // running job through an immediate checkpoint and the victim resumes
 // transparently from its frame. A full queue pushes back with 429 +

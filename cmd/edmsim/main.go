@@ -208,7 +208,6 @@ func main() {
 		if *selfCheck {
 			ck = check.Wrap(spec.Cluster.Recorder)
 			spec.Cluster.Recorder = ck
-			spec.Cluster.SelfCheck = true
 		}
 		inj = chaos.NewInjector(spec.Cluster.Recorder, plan)
 		spec.Cluster.Recorder = inj

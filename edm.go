@@ -126,8 +126,8 @@ type Spec struct {
 type Result = cluster.Result
 
 // ClusterConfig re-exports the low-level cluster configuration for
-// callers that tune knobs beyond the Spec fields (latencies, bucket
-// widths, flash geometry).
+// callers that tune knobs beyond the Spec fields (placement layout,
+// bucket widths, telemetry sinks).
 type ClusterConfig = cluster.Config
 
 // BuildTrace materialises the spec's workload.

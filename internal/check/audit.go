@@ -9,13 +9,8 @@ import (
 // relocation check) and the minimum per-operation service time. Call it
 // between cluster.New and Run.
 func Bind(ck *Checker, cl *cluster.Cluster) {
-	cfg := cl.Config()
 	ck.SetPagesPerBlock(cl.OSD(0).SSD.Config().PagesPerBlock)
-	min := cfg.NetOverhead
-	if cfg.MDSLatency < min {
-		min = cfg.MDSLatency
-	}
-	ck.MinResponse = min
+	ck.MinResponse = cluster.MinResponse
 }
 
 // Audit produces the combined end-of-run report: the checker's

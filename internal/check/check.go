@@ -22,9 +22,10 @@
 //     and Fig. 8's CMT > CDF ≥ HDF moved-object ordering. Every golden
 //     run executes with the full invariant checker attached.
 //
-// The package is wired behind cluster.Config.SelfCheck and
-// experiment.Options.Check, and exposed on the CLIs as `edmsim -check`
-// and `edmbench -exp check`.
+// The package is wired behind edm.WithCheck, which
+// experiment.Options.Check and edmd's RunRequest.Check pass on, and is
+// exposed on the CLIs as `edmsim -check`, `edmbench -check` and
+// `edmbench -exp check`.
 package check
 
 import (

@@ -22,8 +22,8 @@ type Checker struct {
 
 	// MinResponse, when positive, is the smallest legal response time
 	// of a completed request: the cluster charges at least the network
-	// overhead or the MDS latency per operation. Bind sets it from the
-	// cluster's config. Enforcement stops once a device failure is
+	// overhead or the MDS latency per operation. Bind sets it to
+	// cluster.MinResponse. Enforcement stops once a device failure is
 	// observed (operations on doubly-failed stripes complete without
 	// service).
 	MinResponse sim.Time

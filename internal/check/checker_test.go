@@ -51,7 +51,6 @@ func TestDegradedRunAuditsClean(t *testing.T) {
 		OSDs: 16, Groups: 4, ObjectsPerFile: 4, Seed: 9,
 		WarmupDisabled: true,
 		Migration:      cluster.MigrateMidpoint,
-		SelfCheck:      true,
 		Recorder:       ck,
 	}
 	cl, err := cluster.New(cfg, tr)

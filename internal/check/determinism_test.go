@@ -34,7 +34,6 @@ func TestReplayDeterminismWithChecking(t *testing.T) {
 		cfg := cluster.Config{
 			OSDs: osds, Groups: 4, ObjectsPerFile: 4, Seed: 42,
 			Migration: cluster.MigrateMidpoint,
-			SelfCheck: true,
 			Recorder:  ck,
 		}
 		cl, err := cluster.New(cfg, tr)

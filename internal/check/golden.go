@@ -94,7 +94,7 @@ type goldenRun struct {
 
 // runChecked executes one (policy, workload) cell with the paper's
 // midpoint-shuffle methodology and the full invariant machinery on: the
-// cluster's state self-check plus the event-stream checker.
+// event-stream checker, then Audit's state audit and cross-checks.
 func runChecked(name string, opts GoldenOptions) (*goldenRun, error) {
 	pol, err := policy.Parse(name)
 	if err != nil {
@@ -113,7 +113,6 @@ func runChecked(name string, opts GoldenOptions) (*goldenRun, error) {
 		Groups:         4,
 		ObjectsPerFile: 4,
 		Seed:           opts.Seed,
-		SelfCheck:      true,
 		// Fine response buckets so the Fig. 7 blocking spike is visible
 		// on a small scaled run (the default 3min bucket averages it
 		// away).

@@ -31,9 +31,9 @@ import (
 //   - placement: while all recorded moves are intra-group (HDF/CDF and
 //     rebuild), the k objects of a stripe stay in k distinct groups.
 //
-// Audit is read-only and may be called at any quiescent point; Run calls
-// it when Config.SelfCheck is set. Messages are sorted so reports are
-// deterministic.
+// Audit is read-only and may be called at any quiescent point;
+// check.Audit calls it at the end of every checked run (edm.WithCheck).
+// Messages are sorted so reports are deterministic.
 func (c *Cluster) Audit() []string {
 	var v []string
 	fail := func(format string, args ...any) {

@@ -54,10 +54,6 @@ func (o *OSD) scaledLat(lat, now sim.Time) sim.Time {
 	return lat
 }
 
-// BusyTime returns the cumulative device service time (queueing
-// excluded), a direct load measure.
-func (o *OSD) BusyTime() sim.Time { return o.busyTime }
-
 // LoadFactor returns the EWMA of served request latencies in seconds —
 // CMT's load metric.
 func (o *OSD) LoadFactor() float64 { return o.load.Value() }
@@ -177,7 +173,7 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w: %w", err, ErrInvalidConfig)
 	}
-	geom := raid.Geometry{K: cfg.ObjectsPerFile, StripeUnit: cfg.StripeUnit}
+	geom := raid.Geometry{K: cfg.ObjectsPerFile, StripeUnit: stripeUnit}
 	if err := geom.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w: %w", err, ErrInvalidConfig)
 	}
@@ -408,14 +404,7 @@ func (c *Cluster) buildObjectTables() {
 // capacity is derived from the heaviest OSD's placed data so that its
 // utilization is about the target.
 func (c *Cluster) buildDevices() error {
-	pageSize := c.cfg.Flash.PageSize
-	if pageSize == 0 {
-		pageSize = flash.DefaultPageSize
-	}
-	ppb := c.cfg.Flash.PagesPerBlock
-	if ppb == 0 {
-		ppb = flash.DefaultPagesPerBlock
-	}
+	const pageSize, ppb = flash.DefaultPageSize, flash.DefaultPagesPerBlock
 
 	// Dry placement pass: pages each OSD will hold.
 	perOSD := make([]int64, c.cfg.OSDs)
@@ -438,26 +427,14 @@ func (c *Cluster) buildDevices() error {
 
 	// Physical sizing: live/total == target at the heaviest device,
 	// plus the GC reserve excluded from the logical space.
-	low, high := c.cfg.Flash.GCLowBlocks, c.cfg.Flash.GCHighBlocks
-	if low == 0 {
-		low = 2
+	totalPages := int64(float64(maxPages)/targetMaxUtilization) + 1
+	fcfg := flash.Config{
+		PageSize:      pageSize,
+		PagesPerBlock: ppb,
+		Blocks:        int((totalPages+ppb-1)/ppb + gcHighBlocks + 1),
+		GCLowBlocks:   gcLowBlocks,
+		GCHighBlocks:  gcHighBlocks,
 	}
-	if high == 0 {
-		high = low + 2
-	}
-	reserveBlocks := int64(high + 1)
-	totalPages := int64(float64(maxPages)/c.cfg.TargetMaxUtilization) + 1
-	blocks := (totalPages+int64(ppb)-1)/int64(ppb) + reserveBlocks
-	if int64(c.cfg.Flash.Blocks) > blocks {
-		blocks = int64(c.cfg.Flash.Blocks)
-	}
-
-	fcfg := c.cfg.Flash
-	fcfg.PageSize = pageSize
-	fcfg.PagesPerBlock = ppb
-	fcfg.Blocks = int(blocks)
-	fcfg.GCLowBlocks = low
-	fcfg.GCHighBlocks = high
 
 	c.osds = make([]*OSD, c.cfg.OSDs)
 	for i := range c.osds {
@@ -471,7 +448,7 @@ func (c *Cluster) buildDevices() error {
 			SSD:     ssd,
 			Store:   object.NewStore(ssd),
 			Tracker: temperature.New(c.cfg.TemperatureInterval),
-			load:    c.cfg.newLoadEWMA(),
+			load:    metrics.NewEWMA(loadEWMAAlpha),
 		}
 	}
 	return nil
@@ -533,7 +510,3 @@ func (c *Cluster) warmup() {
 		}
 	}
 }
-
-// BlockedSubOps counts sub-operations that waited on an HDF object lock
-// (diagnostics).
-func (c *Cluster) BlockedSubOps() uint64 { return c.blockedSubOps }

@@ -110,9 +110,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestUtilizationBelowTarget(t *testing.T) {
 	tr := tinyTrace(t, 1)
-	cfg := testConfig(16)
-	cfg.TargetMaxUtilization = 0.7
-	res := runPolicy(t, cfg, tr, nil)
+	res := runPolicy(t, testConfig(16), tr, nil)
 	for i, u := range res.Utilizations {
 		if u > 0.75 {
 			t.Fatalf("OSD %d utilization %v far above 0.7 sizing target", i, u)
@@ -295,8 +293,6 @@ func TestConfigValidation(t *testing.T) {
 	tr := tinyTrace(t, 1)
 	bad := []Config{
 		{OSDs: 0},
-		{OSDs: 16, TargetMaxUtilization: 0.99},
-		{OSDs: 16, LoadEWMAAlpha: 2},
 		{OSDs: 18, Groups: 4}, // n not divisible by m
 	}
 	for i, cfg := range bad {

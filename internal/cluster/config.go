@@ -15,17 +15,40 @@ import (
 	"errors"
 	"fmt"
 
-	"edm/internal/flash"
-	"edm/internal/metrics"
 	"edm/internal/sim"
 	"edm/internal/telemetry"
 )
 
 // ErrInvalidConfig tags every cluster-configuration validation failure
-// (bad OSD count, out-of-range utilization target, invalid layout or
-// RAID geometry) so callers can branch with errors.Is instead of
-// matching message text.
+// (bad OSD count, invalid layout or RAID geometry) so callers can branch
+// with errors.Is instead of matching message text.
 var ErrInvalidConfig = errors.New("invalid cluster configuration")
+
+// The testbed's fixed parameters. No experiment varies them.
+const (
+	// stripeUnit is the bytes of consecutive file data an object holds
+	// before the RAID-5 stripe rotates to the next object (§V.A).
+	stripeUnit = 64 << 10
+	// targetMaxUtilization sizes every SSD identically so the most
+	// utilized device lands at about this utilization (§IV: "about 70
+	// percent").
+	targetMaxUtilization = 0.7
+	// gcLowBlocks and gcHighBlocks are every SSD's greedy-GC trigger
+	// and refill watermarks in free blocks (flash.Config's defaults).
+	gcLowBlocks, gcHighBlocks = 2, 4
+	// mdsLatency is the fixed service time of a metadata operation
+	// (open/close), and netOverhead the network and CPU overhead of
+	// every sub-operation (§V.A).
+	mdsLatency  = 150 * sim.Microsecond
+	netOverhead = 100 * sim.Microsecond
+	// loadEWMAAlpha smooths the per-OSD latency load factor CMT uses.
+	loadEWMAAlpha = 0.3
+)
+
+// MinResponse is the shortest response any operation can have: a
+// metadata operation's service time or one sub-operation's overhead,
+// whichever is smaller.
+const MinResponse = min(mdsLatency, netOverhead)
 
 // MigrationMode selects when the migration controller runs.
 type MigrationMode int
@@ -105,19 +128,6 @@ type Config struct {
 	// counts per group — §III.D's "differentiating the number of SSDs
 	// assigned to each group". Requires GroupRotate.
 	GroupSizes []int
-	// StripeUnit is the bytes of consecutive file data per object
-	// before rotating to the next (default 64KB).
-	StripeUnit int64
-	// Clients is the number of load generators; 0 means OSDs/2 (§V.A).
-	Clients int
-
-	// TargetMaxUtilization sizes every SSD identically so the
-	// most-utilized device lands at about this utilization (§IV: "about
-	// 70 percent"). Default 0.7.
-	TargetMaxUtilization float64
-	// Flash is the per-SSD template; Blocks is computed from the trace
-	// footprint and TargetMaxUtilization (a non-zero Blocks is a floor).
-	Flash flash.Config
 
 	// WarmupDisabled skips the steady-state warm-up (§IV: dummy data
 	// equal to each SSD's capacity is written before the replay, then
@@ -125,19 +135,9 @@ type Config struct {
 	// paper; tests may disable it for speed.
 	WarmupDisabled bool
 
-	// MDSLatency is the fixed service time of metadata operations
-	// (open/close). Default 150µs.
-	MDSLatency sim.Time
-	// NetOverhead is the per-suboperation request overhead (network +
-	// CPU). Default 100µs.
-	NetOverhead sim.Time
-
 	// TemperatureInterval is the Def.-1 decay interval (default 1
 	// minute, the wear monitor's cadence).
 	TemperatureInterval sim.Time
-	// LoadEWMAAlpha smooths the per-OSD latency load factor CMT uses.
-	// Default 0.3.
-	LoadEWMAAlpha float64
 
 	// ResponseBucket is the Fig.-7 time-series bucket width (default 3
 	// minutes).
@@ -156,8 +156,8 @@ type Config struct {
 	// pays off most visibly. 0 keeps the closed loop.
 	OpenLoopRate float64
 
-	// Seed drives all randomized decisions (none today — the cluster
-	// is fully deterministic — but reserved for think-time extensions).
+	// Seed drives the warm-up churn: which objects, and which pages of
+	// them, the steady-state fill rewrites on each SSD.
 	Seed uint64
 
 	// CheckpointEvery arms the checkpoint cadence: every this many fired
@@ -168,12 +168,6 @@ type Config struct {
 	// hook itself is a func and therefore lives outside Config — Config
 	// must stay JSON-serializable for the wire spec contract.
 	CheckpointEvery uint64
-
-	// SelfCheck makes Run audit the cluster's conservation laws after
-	// the replay drains (see Audit) and fail with a descriptive error if
-	// any is violated. The audit walks every SSD's mapping tables, so it
-	// is meant for tests and checked reproduction runs, not benchmarks.
-	SelfCheck bool
 
 	// Recorder receives typed telemetry events (request lifecycles,
 	// queue samples, flash erases, migration/rebuild progress, HDF
@@ -219,29 +213,8 @@ func (c *Config) applyDefaults() {
 	if c.ObjectsPerFile == 0 {
 		c.ObjectsPerFile = 4
 	}
-	if c.StripeUnit == 0 {
-		c.StripeUnit = 64 << 10
-	}
-	if c.Clients == 0 {
-		c.Clients = c.OSDs / 2
-		if c.Clients == 0 {
-			c.Clients = 1
-		}
-	}
-	if c.TargetMaxUtilization == 0 {
-		c.TargetMaxUtilization = 0.7
-	}
-	if c.MDSLatency == 0 {
-		c.MDSLatency = 150 * sim.Microsecond
-	}
-	if c.NetOverhead == 0 {
-		c.NetOverhead = 100 * sim.Microsecond
-	}
 	if c.TemperatureInterval == 0 {
 		c.TemperatureInterval = sim.Minute
-	}
-	if c.LoadEWMAAlpha == 0 {
-		c.LoadEWMAAlpha = 0.3
 	}
 	if c.ResponseBucket == 0 {
 		c.ResponseBucket = 3 * sim.Minute
@@ -254,16 +227,8 @@ func (c *Config) applyDefaults() {
 // Validate reports configuration errors after defaulting. Every failure
 // wraps ErrInvalidConfig.
 func (c Config) Validate() error {
-	switch {
-	case c.OSDs <= 0:
+	if c.OSDs <= 0 {
 		return fmt.Errorf("cluster: need at least 1 OSD, got %d: %w", c.OSDs, ErrInvalidConfig)
-	case c.TargetMaxUtilization <= 0 || c.TargetMaxUtilization >= 0.95:
-		return fmt.Errorf("cluster: target max utilization %v out of (0,0.95): %w", c.TargetMaxUtilization, ErrInvalidConfig)
-	case c.LoadEWMAAlpha <= 0 || c.LoadEWMAAlpha > 1:
-		return fmt.Errorf("cluster: load EWMA alpha %v out of (0,1]: %w", c.LoadEWMAAlpha, ErrInvalidConfig)
 	}
 	return nil
 }
-
-// newLoadEWMA builds the per-OSD load factor estimator.
-func (c Config) newLoadEWMA() *metrics.EWMA { return metrics.NewEWMA(c.LoadEWMAAlpha) }

@@ -13,9 +13,7 @@ import (
 // trace on Run.
 func TestZeroObjectCluster(t *testing.T) {
 	tr := &trace.Trace{Name: "empty", Users: 1}
-	cfg := testConfig(16)
-	cfg.SelfCheck = true
-	cl, err := New(cfg, tr)
+	cl, err := New(testConfig(16), tr)
 	if err != nil {
 		t.Fatalf("New on empty trace: %v", err)
 	}
@@ -52,7 +50,6 @@ func TestDenseTablesTrackMigrations(t *testing.T) {
 	tr := tinyTrace(t, 5)
 	cfg := testConfig(16)
 	cfg.Migration = MigrateMidpoint
-	cfg.SelfCheck = true
 	cl, err := New(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +61,9 @@ func TestDenseTablesTrackMigrations(t *testing.T) {
 	}
 	if res.MovedObjects == 0 {
 		t.Fatal("workload committed no moves; the test needs migration churn")
+	}
+	if v := cl.Audit(); len(v) != 0 {
+		t.Fatalf("audit violations after migrations: %v", v)
 	}
 	for oi, id := range cl.oids {
 		own := int(cl.owner[oi])
@@ -95,7 +95,6 @@ func TestSparseFileIDs(t *testing.T) {
 	}
 	cfg := testConfig(16)
 	cfg.Migration = MigrateMidpoint
-	cfg.SelfCheck = true
 	cl, err := New(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -116,5 +115,8 @@ func TestSparseFileIDs(t *testing.T) {
 	}
 	if res.MovedObjects == 0 {
 		t.Error("HDF moved no objects; the mover's dense path went unexercised")
+	}
+	if v := cl.Audit(); len(v) != 0 {
+		t.Errorf("audit violations with sparse file ids: %v", v)
 	}
 }

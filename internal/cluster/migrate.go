@@ -231,9 +231,9 @@ func (mv *mover) step(at sim.Time) {
 	}
 	readLat, _ := src.Store.ReadAt(mv.srcSlot, mv.off, n)
 	readLat = src.scaledLat(readLat, at)
-	readDone := readStart + c.cfg.NetOverhead + readLat
+	readDone := readStart + netOverhead + readLat
 	src.busyUntil = readDone
-	src.busyTime += c.cfg.NetOverhead + readLat
+	src.busyTime += netOverhead + readLat
 
 	// Chunk write through the destination queue.
 	writeStart := readDone
@@ -249,9 +249,9 @@ func (mv *mover) step(at sim.Time) {
 		return
 	}
 	writeLat = dst.scaledLat(writeLat, at)
-	writeDone := writeStart + c.cfg.NetOverhead + writeLat
+	writeDone := writeStart + netOverhead + writeLat
 	dst.busyUntil = writeDone
-	dst.busyTime += c.cfg.NetOverhead + writeLat
+	dst.busyTime += netOverhead + writeLat
 
 	mv.off += n
 	c.eng.AtAction(writeDone, mv)

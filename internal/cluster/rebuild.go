@@ -166,9 +166,9 @@ func (c *Cluster) rebuildObject(obj object.ID, failedOSD, dst int, now sim.Time,
 			}
 			lat, _ := osd.Store.ReadAt(c.oslot[peer], off, n)
 			lat = osd.scaledLat(lat, at)
-			end := start + c.cfg.NetOverhead + lat
+			end := start + netOverhead + lat
 			osd.busyUntil = end
-			osd.busyTime += c.cfg.NetOverhead + lat
+			osd.busyTime += netOverhead + lat
 			if end > readDone {
 				readDone = end
 			}
@@ -187,9 +187,9 @@ func (c *Cluster) rebuildObject(obj object.ID, failedOSD, dst int, now sim.Time,
 			return
 		}
 		writeLat = target.scaledLat(writeLat, at)
-		writeDone := writeStart + c.cfg.NetOverhead + writeLat
+		writeDone := writeStart + netOverhead + writeLat
 		target.busyUntil = writeDone
-		target.busyTime += c.cfg.NetOverhead + writeLat
+		target.busyTime += netOverhead + writeLat
 		c.eng.At(writeDone, func(next sim.Time) { step(off+n, next) })
 	}
 	step(0, now)

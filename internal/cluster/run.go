@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"edm/internal/metrics"
 	"edm/internal/object"
@@ -187,7 +186,7 @@ func (c *Cluster) RunContext(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("cluster: run interrupted at %v (%d/%d ops): %w",
 			c.eng.Now(), c.completedOps, c.totalOps, err)
 	}
-	return c.finish()
+	return c.buildResult(), nil
 }
 
 // FastForward replays the run from the start to exactly fired events —
@@ -226,7 +225,7 @@ func (c *Cluster) ContinueContext(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("cluster: run interrupted at %v (%d/%d ops): %w",
 			c.eng.Now(), c.completedOps, c.totalOps, err)
 	}
-	return c.finish()
+	return c.buildResult(), nil
 }
 
 // armCheckpoint installs the checkpoint hook on the engine when both
@@ -242,7 +241,7 @@ func (c *Cluster) armCheckpoint() {
 // prepare builds the replay schedule: stream sharding, migration
 // triggers, metric sampling, and the initial event population. It is
 // the first half of a run; eng.RunContext (or RunContextFired on a
-// resume) then drains the schedule and finish() produces the Result.
+// resume) then drains the schedule and buildResult produces the Result.
 func (c *Cluster) prepare(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("cluster: run not started: %w", err)
@@ -300,17 +299,6 @@ func (c *Cluster) prepare(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// finish audits and summarises a drained run.
-func (c *Cluster) finish() (*Result, error) {
-	if c.cfg.SelfCheck {
-		if v := c.Audit(); len(v) > 0 {
-			return nil, fmt.Errorf("cluster: self-check found %d violations:\n  %s",
-				len(v), strings.Join(v, "\n  "))
-		}
-	}
-	return c.buildResult(), nil
 }
 
 // buildStreams shards the trace's records into per-user streams,
@@ -500,7 +488,7 @@ func (c *Cluster) execute(rec trace.Record, now sim.Time) sim.Time {
 	case trace.OpOpen, trace.OpClose:
 		// Metadata ops are served by the MDS; the paper's MDS is not
 		// the bottleneck, so a fixed latency models it.
-		return now + c.cfg.MDSLatency
+		return now + mdsLatency
 	case trace.OpRead, trace.OpWrite:
 		if c.anyFailedTarget(rec) {
 			return c.degradedFanOut(rec, now)
@@ -510,7 +498,7 @@ func (c *Cluster) execute(rec trace.Record, now sim.Time) sim.Time {
 		}
 		return c.executeWrite(rec, now)
 	}
-	return now + c.cfg.MDSLatency
+	return now + mdsLatency
 }
 
 func (c *Cluster) executeRead(rec trace.Record, now sim.Time) sim.Time {
@@ -607,10 +595,10 @@ func (c *Cluster) subOp(oi int32, accs []raid.Access, now sim.Time) sim.Time {
 // sub-operation and returns its completion time.
 func (c *Cluster) finishSubOp(osd *OSD, dev, start, now sim.Time) sim.Time {
 	dev = osd.scaledLat(dev, now)
-	doneAt := start + c.cfg.NetOverhead + dev
+	doneAt := start + netOverhead + dev
 	osd.busyUntil = doneAt
 	osd.subOps++
-	osd.busyTime += c.cfg.NetOverhead + dev
+	osd.busyTime += netOverhead + dev
 	osd.load.Observe((doneAt - now).Seconds())
 	if c.rec != nil {
 		c.rec.QueueSample(telemetry.QueueSample{

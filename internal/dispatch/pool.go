@@ -53,13 +53,11 @@ type Config struct {
 	CheckpointEvery uint64
 
 	// Local runs cells when the fleet cannot (default
-	// experiment.RunCell). DisableLocal turns the fallback off: cells
-	// then wait for a worker to return or fail with ErrExhausted.
+	// experiment.RunCell), up to runtime.NumCPU() at a time.
+	// DisableLocal turns the fallback off: cells then wait for a worker
+	// to return or fail with ErrExhausted.
 	Local        LocalRunner
 	DisableLocal bool
-	// LocalParallelism bounds concurrent local fallback runs (default
-	// NumCPU).
-	LocalParallelism int
 
 	// Logf, when set, receives coordinator progress lines (worker
 	// down/up, reassignments, hedges, fallback activation).
@@ -75,9 +73,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Local == nil {
 		c.Local = experiment.RunCell
-	}
-	if c.LocalParallelism <= 0 {
-		c.LocalParallelism = runtime.NumCPU()
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -518,7 +513,7 @@ func (p *Pool) startLocal(ctx context.Context, rs *runState) {
 		return
 	}
 	rs.localOnce.Do(func() {
-		for i := 0; i < p.cfg.LocalParallelism; i++ {
+		for i := 0; i < runtime.NumCPU(); i++ {
 			rs.localWG.Add(1)
 			go func() {
 				defer rs.localWG.Done()

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -57,10 +58,10 @@ type Options struct {
 	Traces []string
 	// Lambda is the trigger threshold (default 0.1).
 	Lambda float64
-	// Check enables the cluster's end-of-run state self-check on every
-	// simulation the experiments launch: a run that violates a
-	// conservation law fails with a descriptive error instead of
-	// contributing silently-wrong numbers to a figure.
+	// Check runs every cluster simulation the experiments launch under
+	// edm.WithCheck: a run that violates an invariant fails with a
+	// descriptive error instead of contributing silently-wrong numbers
+	// to a figure.
 	Check bool
 
 	// Context, when non-nil, bounds every simulation the experiment
@@ -94,6 +95,20 @@ func (o Options) withDefaults() Options {
 		o.Lambda = 0.1
 	}
 	return o
+}
+
+// ParseOSDCounts parses a comma-separated list of cluster sizes, the
+// -osds flag of edmbench and edmctl, into Options.OSDCounts.
+func ParseOSDCounts(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad -osds value %q (want a comma-separated list of positive cluster sizes, e.g. 16,20)", part)
+		}
+		out = append(out, n)
+	}
+	return out, nil
 }
 
 // ctx returns the run context, defaulting to Background.

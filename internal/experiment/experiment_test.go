@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -293,14 +294,48 @@ func TestAblationOpenLoop(t *testing.T) {
 }
 
 // TestMatrixWithSelfCheck runs a small matrix cell set with Options.Check
-// on: every simulation must pass the cluster's end-of-run state audit.
+// on: every simulation must pass edm.WithCheck's checker and state audit.
 func TestMatrixWithSelfCheck(t *testing.T) {
 	opts := fastOpts()
 	opts.Traces = []string{"home02"}
 	opts.Check = true
 	for _, c := range Matrix(opts) {
 		if c.Err != nil {
-			t.Fatalf("%s/%d/%s failed under self-check: %v", c.Trace, c.OSDs, c.Policy, c.Err)
+			t.Fatalf("%s/%d/%s failed under check: %v", c.Trace, c.OSDs, c.Policy, c.Err)
+		}
+	}
+}
+
+func TestParseOSDCounts(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    []int
+		wantErr bool
+	}{
+		{"16", []int{16}, false},
+		{"16,20", []int{16, 20}, false},
+		{"16, 20", []int{16, 20}, false},
+		{" 8 , 12 ", []int{8, 12}, false},
+		{"", nil, true},
+		{"0", nil, true},
+		{"-4", nil, true},
+		{"16,x", nil, true},
+		{"16,zero", nil, true},
+	}
+	for _, c := range cases {
+		got, err := ParseOSDCounts(c.in)
+		if c.wantErr {
+			if err == nil {
+				t.Errorf("ParseOSDCounts(%q): want error, got %v", c.in, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseOSDCounts(%q): %v", c.in, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseOSDCounts(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

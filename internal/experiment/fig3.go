@@ -96,9 +96,25 @@ func measureUr(name string, u float64, opts Options) (float64, error) {
 		}
 		p = named.Scaled(opts.Scale * 2)
 	}
-	tr, err := trace.Generate(p, opts.Seed)
+	st, err := replaySSD(p, opts.Seed, u, flash.Config{})
 	if err != nil {
 		return 0, err
+	}
+	if st.Erases == 0 {
+		return 0, fmt.Errorf("experiment: no GC at u=%.2f for %s — workload too small", u, name)
+	}
+	return st.VictimValidRatio(), nil
+}
+
+// replaySSD replays the writes of p's trace against one SSD built from
+// fcfg, with the trace's files laid out as consecutive LPA extents and
+// the device sized so the live data sits at utilization u. It returns
+// the device's stats over one capacity's worth of writes in steady
+// state: Fig. 3 and the FTL ablation both measure this way.
+func replaySSD(p trace.Profile, seed uint64, u float64, fcfg flash.Config) (flash.Stats, error) {
+	tr, err := trace.Generate(p, seed)
+	if err != nil {
+		return flash.Stats{}, err
 	}
 
 	const pageSize = flash.DefaultPageSize
@@ -117,24 +133,18 @@ func measureUr(name string, u float64, opts Options) (float64, error) {
 	}
 
 	// Size the device so live/total == u, keeping GC headroom.
-	blocks := int(float64(livePages)/(u*float64(ppb))) + 1
-	if min := int(livePages/ppb) + 8; blocks < min {
-		blocks = min
-	}
-	ssd, err := flash.New(flash.Config{
-		PageSize:      pageSize,
-		PagesPerBlock: ppb,
-		Blocks:        blocks,
-	})
+	fcfg.PageSize, fcfg.PagesPerBlock = pageSize, ppb
+	fcfg.Blocks = max(int(float64(livePages)/(u*float64(ppb)))+1, int(livePages/ppb)+8)
+	ssd, err := flash.New(fcfg)
 	if err != nil {
-		return 0, err
+		return flash.Stats{}, err
 	}
 
 	// Populate the live set.
 	for _, f := range tr.Files {
 		e := extents[f.ID]
 		if _, err := ssd.WriteN(e.start, int(e.pages)); err != nil {
-			return 0, fmt.Errorf("experiment: populate at u=%.2f: %w", u, err)
+			return flash.Stats{}, fmt.Errorf("experiment: populate at u=%.2f: %w", u, err)
 		}
 	}
 
@@ -173,17 +183,13 @@ func measureUr(name string, u float64, opts Options) (float64, error) {
 		return nil
 	}
 	if err := replayUntil(uint64(ssd.TotalPages())); err != nil {
-		return 0, err
+		return flash.Stats{}, err
 	}
 	ssd.ResetStats()
 	if err := replayUntil(uint64(ssd.TotalPages())); err != nil {
-		return 0, err
+		return flash.Stats{}, err
 	}
-	st := ssd.Stats()
-	if st.Erases == 0 {
-		return 0, fmt.Errorf("experiment: no GC at u=%.2f for %s — workload too small", u, name)
-	}
-	return st.VictimValidRatio(), nil
+	return ssd.Stats(), nil
 }
 
 // Format renders the sweep, one block per workload.

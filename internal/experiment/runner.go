@@ -23,9 +23,10 @@ func runLabel(exp string, spec edm.Spec) string {
 
 // run executes one simulation of an experiment through edm.Run. It
 // supplies what every run of the harness shares: the memoized trace,
-// the options' scale and seed, the state self-check, a telemetry sink
-// whose files are named by label, and a pooled scratch that edm.Run
-// refills with the run's grown buffers for the next run in the sweep.
+// the options' scale and seed, edm.WithCheck when Options.Check is set,
+// a telemetry sink whose files are named by label, and a pooled scratch
+// that edm.Run refills with the run's grown buffers for the next run in
+// the sweep.
 func run(opts Options, label string, spec edm.Spec) (*edm.Result, error) {
 	ctx := opts.ctx()
 	if err := ctx.Err(); err != nil {
@@ -36,7 +37,10 @@ func run(opts Options, label string, spec edm.Spec) (*edm.Result, error) {
 		return nil, err
 	}
 	spec.Trace, spec.Scale, spec.Seed = tr, opts.Scale, opts.Seed
-	spec.Cluster.SelfCheck = opts.Check
+	var runOpts []edm.RunOption
+	if opts.Check {
+		runOpts = append(runOpts, edm.WithCheck())
+	}
 	sink, err := opts.Telemetry.NewSink(label)
 	if err != nil {
 		return nil, err
@@ -49,7 +53,7 @@ func run(opts Options, label string, spec edm.Spec) (*edm.Result, error) {
 	scr := scratchPool.Get().(*cluster.Scratch)
 	defer scratchPool.Put(scr)
 	spec.Cluster.Scratch = scr
-	res, err := edm.Run(ctx, spec)
+	res, err := edm.Run(ctx, spec, runOpts...)
 	if err == nil && sink != nil {
 		err = sink.Flush()
 	}

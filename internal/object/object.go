@@ -97,9 +97,6 @@ func (st *Store) Len() int { return st.live }
 // UsedPages returns logical pages allocated to objects.
 func (st *Store) UsedPages() int64 { return st.usedPgs }
 
-// UsedBytes returns bytes consumed by objects (page-granular).
-func (st *Store) UsedBytes() int64 { return st.usedPgs * st.pageSize }
-
 // CapacityPages returns the usable logical page count.
 func (st *Store) CapacityPages() int64 { return st.ssd.MaxLivePages() }
 

@@ -73,21 +73,12 @@ func (s *Stream) Float64() float64 { s.draws++; return s.r.Float64() }
 // NormFloat64 returns a standard normal variate.
 func (s *Stream) NormFloat64() float64 { s.draws++; return s.r.NormFloat64() }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (s *Stream) ExpFloat64() float64 { s.draws++; return s.r.ExpFloat64() }
-
 // UniformRange returns a uniform int64 in [lo, hi]. It panics if hi < lo.
 func (s *Stream) UniformRange(lo, hi int64) int64 {
 	if hi < lo {
 		panic("rng: UniformRange with hi < lo")
 	}
 	return lo + s.Int63n(hi-lo+1)
-}
-
-// Lognormal samples a lognormal variate with the given parameters of the
-// underlying normal (mu, sigma).
-func (s *Stream) Lognormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*s.NormFloat64())
 }
 
 // LognormalMean samples a lognormal variate whose distribution has the

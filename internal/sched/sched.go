@@ -1,6 +1,6 @@
 // Package sched is edmd's admission and scheduling brain: priority
-// classes, weighted fair-share across tenants, deadline-aware
-// admission, batch load shedding, and preemption signalling.
+// classes, fair share across tenants, deadline-aware admission, batch
+// load shedding, and preemption signalling.
 //
 // The scheduler is deliberately split from the serving layer. It owns
 // every *decision* — which ticket runs next, whether a submission is
@@ -15,11 +15,11 @@
 //
 //   - Three priority classes — batch < normal < interactive. Next
 //     always serves the highest non-empty class.
-//   - Within a class, tenants compete by weighted fair share: the
-//     tenant with the least weighted consumed run-time goes first, so
-//     one tenant's burst cannot starve another's steady trickle. New
-//     tenants are floored to the minimum active usage rather than
-//     zero, so joining late is not a superpower.
+//   - Within a class, tenants compete by fair share: the tenant with
+//     the least consumed run-time goes first, so one tenant's burst
+//     cannot starve another's steady trickle. New tenants are floored
+//     to the minimum active usage rather than zero, so joining late is
+//     not a superpower.
 //   - Admission is deadline-aware: a submission carrying a max wait is
 //     rejected up front (with the live estimate as a Retry-After hint)
 //     when the estimated queue wait exceeds it — failing in one RTT
@@ -148,10 +148,6 @@ type Config struct {
 	// ShedFraction is the occupancy (fraction of QueueDepth) beyond
 	// which batch submissions are shed (default 0.75; >= 1 disables).
 	ShedFraction float64
-	// TenantWeights biases the fair share: a tenant with weight 2
-	// accrues usage at half rate, so it receives twice the service of a
-	// weight-1 tenant under contention. Unlisted tenants weigh 1.
-	TenantWeights map[string]float64
 }
 
 func (c *Config) applyDefaults() {
@@ -233,8 +229,8 @@ type Scheduler struct {
 	queuedTotal   int
 	running       map[*Ticket]struct{}
 
-	// usage is each tenant's weighted consumed run-seconds — the fair-
-	// share currency. It only ever grows (floored for new arrivals), so
+	// usage is each tenant's consumed run-seconds — the fair-share
+	// currency. It only ever grows (floored for new arrivals), so
 	// shares are comparable across the scheduler's whole life.
 	usage map[string]float64
 
@@ -263,13 +259,6 @@ func New(cfg Config) *Scheduler {
 		s.queues[c] = make(map[string]*tenantQueue)
 	}
 	return s
-}
-
-func (s *Scheduler) weight(tenant string) float64 {
-	if w, ok := s.cfg.TenantWeights[tenant]; ok && w > 0 {
-		return w
-	}
-	return 1
 }
 
 // Submit admits one unit of work. Rejections are *RejectError wrapping
@@ -370,8 +359,8 @@ func (s *Scheduler) pushLocked(tk *Ticket, front bool) {
 	s.queuedTotal++
 }
 
-// minActiveUsageLocked is the smallest weighted usage among tenants
-// with queued work, in any class.
+// minActiveUsageLocked is the smallest usage among tenants with queued
+// work, in any class.
 func (s *Scheduler) minActiveUsageLocked() (float64, bool) {
 	min, ok := 0.0, false
 	for c := range s.queues {
@@ -426,8 +415,8 @@ func (s *Scheduler) maybePreemptLocked() {
 // Next blocks until a ticket is runnable and returns it, marking it
 // running. It returns nil once the scheduler is closed and drained —
 // the worker's signal to exit. Order: highest class first; within a
-// class, the tenant with the least weighted usage; within a tenant,
-// FIFO (with requeued preemption victims at the head).
+// class, the tenant with the least usage; within a tenant, FIFO (with
+// requeued preemption victims at the head).
 func (s *Scheduler) Next() *Ticket {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -456,8 +445,8 @@ func (s *Scheduler) popLocked() *Ticket {
 		if s.queuedByClass[c] == 0 {
 			continue
 		}
-		// Least weighted usage first; tie-break on tenant name so the
-		// order is deterministic.
+		// Least usage first; tie-break on tenant name so the order is
+		// deterministic.
 		var pick string
 		var pickQ *tenantQueue
 		first := true
@@ -465,9 +454,8 @@ func (s *Scheduler) popLocked() *Ticket {
 			if len(tq.items) == 0 {
 				continue
 			}
-			u := s.usage[tenant] / s.weight(tenant)
-			if first || u < s.usage[pick]/s.weight(pick) ||
-				(u == s.usage[pick]/s.weight(pick) && tenant < pick) {
+			u := s.usage[tenant]
+			if first || u < s.usage[pick] || (u == s.usage[pick] && tenant < pick) {
 				pick, pickQ, first = tenant, tq, false
 			}
 		}
@@ -539,7 +527,7 @@ func (s *Scheduler) chargeLocked(tk *Ticket) float64 {
 	if d < 0 {
 		d = 0
 	}
-	s.usage[tk.tenant] += d / s.weight(tk.tenant)
+	s.usage[tk.tenant] += d
 	return d
 }
 
@@ -628,13 +616,6 @@ func (s *Scheduler) QueuedTotal() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.queuedTotal
-}
-
-// RunningCount reports how many tickets are executing.
-func (s *Scheduler) RunningCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.running)
 }
 
 // Preemptions reports how many preemption signals have been issued.

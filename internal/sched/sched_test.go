@@ -107,28 +107,6 @@ func TestFairSharePrefersLeastUsage(t *testing.T) {
 	}
 }
 
-func TestFairShareWeights(t *testing.T) {
-	s := New(Config{
-		Workers:       1,
-		QueueDepth:    16,
-		TenantWeights: map[string]float64{"heavy": 4},
-	})
-	// Equal raw usage; heavy's weight divides it, so heavy is served
-	// first despite the name tie-break favoring "a".
-	s.mu.Lock()
-	s.usage["a"] = 8
-	s.usage["heavy"] = 8
-	s.mu.Unlock()
-	order := drainOrder(t, s, [][3]string{
-		{"a1", "normal", "a"},
-		{"h1", "normal", "heavy"},
-	})
-	want := []string{"h1", "a1"}
-	if strings.Join(order, ",") != strings.Join(want, ",") {
-		t.Fatalf("dequeue order = %v, want %v", order, want)
-	}
-}
-
 func TestNewTenantFlooredToMinActive(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 16})
 	s.mu.Lock()

@@ -100,6 +100,49 @@ func TestCheckpointResumeOverHTTP(t *testing.T) {
 	}
 }
 
+// TestCheckedJobFreshAndResumed: a check:true job runs under the full
+// invariant checker whether it starts fresh or resumes from its own
+// checkpoint frame, and checking never changes the result bytes.
+func TestCheckedJobFreshAndResumed(t *testing.T) {
+	_, ts, c := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+	want := directRun(t, fastReq())
+
+	checked := fastReq()
+	checked.Check = true
+	checked.CheckpointEvery = 1000
+	fresh, resp := submit(t, ts, checked)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit checked: status %d", resp.StatusCode)
+	}
+	waitState(t, c, fresh.ID, "", 60*time.Second)
+	frame, err := c.LatestCheckpoint(ctx, fresh.ID)
+	if err != nil {
+		t.Fatalf("LatestCheckpoint: %v", err)
+	}
+	if snap, err := snapshot.ReadLast(bytes.NewReader(frame)); err != nil || snap.Fired == 0 {
+		t.Fatalf("checked job's frame cannot seed a mid-run resume: %v", err)
+	}
+	resumed, resp := submit(t, ts, RunRequest{Resume: frame, Check: true})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit checked resume: status %d", resp.StatusCode)
+	}
+	for _, id := range []string{fresh.ID, resumed.ID} {
+		waitState(t, c, id, "", 60*time.Second)
+		st, res := getStatus(t, c, id)
+		if st.State != StateDone {
+			t.Fatalf("job %s: state %q, error %q", id, st.State, st.Error)
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("checked job %s differs from the unchecked run:\n got: %.200s\nwant: %.200s", id, got, want)
+		}
+	}
+}
+
 // TestCheckpointUnknownJob pins the client-side error mapping for the
 // checkpoint endpoints.
 func TestCheckpointUnknownJob(t *testing.T) {

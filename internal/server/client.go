@@ -99,15 +99,6 @@ func (c *Client) Submit(ctx context.Context, req RunRequest) (JobStatus, error) 
 	return st, err
 }
 
-// List fetches every job's status in submission order.
-func (c *Client) List(ctx context.Context) ([]JobStatus, error) {
-	var out struct {
-		Runs []JobStatus `json:"runs"`
-	}
-	err := c.json(ctx, http.MethodGet, "/v1/runs", nil, &out)
-	return out.Runs, err
-}
-
 // Status fetches one job's view; the result is attached once the job
 // is done.
 func (c *Client) Status(ctx context.Context, id string) (RunView, error) {

@@ -63,8 +63,8 @@ type RunRequest struct {
 	Lambda float64 `json:"lambda,omitempty"`
 	// Seed drives workload generation and the simulation.
 	Seed uint64 `json:"seed,omitempty"`
-	// Check enables the cluster's end-of-run state self-check: a run
-	// that violates a conservation law fails instead of returning
+	// Check runs the job under edm.WithCheck, fresh or resumed: a run
+	// that violates an invariant fails instead of returning
 	// silently-wrong numbers (distributed sweeps forward their -check).
 	Check bool `json:"check,omitempty"`
 	// TimeoutS caps the job's wall-clock execution in seconds; 0 defers
@@ -87,8 +87,8 @@ type RunRequest struct {
 	// preempt running batch/normal jobs when every worker is busy;
 	// batch jobs are shed first under queue pressure.
 	Priority string `json:"priority,omitempty"`
-	// Tenant labels the submitter for weighted fair-share scheduling;
-	// empty is the shared default tenant.
+	// Tenant labels the submitter for fair-share scheduling; empty is
+	// the shared default tenant.
 	Tenant string `json:"tenant,omitempty"`
 	// MaxWaitS, when positive, is the longest queue wait the client
 	// will tolerate: a submission whose estimated wait exceeds it is
@@ -139,7 +139,6 @@ func (r RunRequest) Spec() (edm.Spec, error) {
 		Lambda:         r.Lambda,
 		Seed:           r.Seed,
 	}
-	spec.Cluster.SelfCheck = r.Check
 	if spec.Workload == "" {
 		return edm.Spec{}, errors.New("server: missing workload")
 	}

@@ -7,8 +7,8 @@
 // ErrQueueFull (HTTP 429 + Retry-After) instead of queueing unboundedly
 // — a saturated simulation box must push back, not fall over. Requests
 // carry an optional priority (batch | normal | interactive), tenant
-// label and max_wait_s deadline: queues are per-priority with weighted
-// fair share across tenants, batch work is shed under pressure
+// label and max_wait_s deadline: queues are per-priority with fair
+// share across tenants, batch work is shed under pressure
 // (ErrLoadShed), and a submission whose estimated queue wait exceeds
 // its max_wait_s is rejected up front (ErrMaxWait) with the live
 // estimate as its Retry-After. When every worker is busy and an
@@ -111,10 +111,6 @@ type Config struct {
 	// submissions are shed to keep headroom for normal and interactive
 	// work (default 0.75 of QueueDepth; >= 1 disables shedding).
 	ShedFraction float64
-	// TenantWeights biases the scheduler's fair share: a tenant with
-	// weight 2 receives twice the service of a weight-1 tenant under
-	// contention. Unlisted tenants weigh 1.
-	TenantWeights map[string]float64
 }
 
 func (c *Config) applyDefaults() {
@@ -184,10 +180,9 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		sched: sched.New(sched.Config{
-			Workers:       cfg.Workers,
-			QueueDepth:    cfg.QueueDepth,
-			ShedFraction:  cfg.ShedFraction,
-			TenantWeights: cfg.TenantWeights,
+			Workers:      cfg.Workers,
+			QueueDepth:   cfg.QueueDepth,
+			ShedFraction: cfg.ShedFraction,
 		}),
 		jobs: make(map[string]*job),
 	}
@@ -497,12 +492,12 @@ func (s *Server) runJob(j *job, tk *sched.Ticket) {
 		edm.WithCheckpoint(frameWriter{j}, every),
 		edm.WithCheckpointTrigger(&j.trigger),
 	}
+	if j.req.Check {
+		opts = append(opts, edm.WithCheck())
+	}
 	var res *edm.Result
 	var err error
 	if frame := j.resumeSource(); frame != nil {
-		if j.req.Check {
-			opts = append(opts, edm.WithCheck())
-		}
 		res, err = edm.Resume(ctx, bytes.NewReader(frame), opts...)
 	} else {
 		res, err = edm.Run(ctx, j.spec, opts...)

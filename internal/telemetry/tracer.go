@@ -23,9 +23,6 @@ func NewTracer(mask Class) *Tracer {
 	return &Tracer{mask: mask}
 }
 
-// Mask returns the enabled event classes.
-func (tr *Tracer) Mask() Class { return tr.mask }
-
 // Events returns the recorded events in emission order. The slice is
 // owned by the tracer; callers must not mutate it.
 func (tr *Tracer) Events() []Event { return tr.events }

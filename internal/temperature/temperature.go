@@ -75,9 +75,6 @@ func New(interval sim.Time) *Tracker {
 	return &Tracker{interval: interval}
 }
 
-// Interval returns the decay interval.
-func (t *Tracker) Interval() sim.Time { return t.interval }
-
 // Len returns the number of tracked objects.
 func (t *Tracker) Len() int { return t.live }
 

@@ -15,7 +15,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -239,10 +238,4 @@ func (t *Trace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortFilesByID normalises file declaration order (generators emit
-// sorted output already; Decode preserves input order).
-func (t *Trace) SortFilesByID() {
-	sort.Slice(t.Files, func(i, j int) bool { return t.Files[i].ID < t.Files[j].ID })
 }

@@ -87,9 +87,11 @@ func WithMetrics(reg *telemetry.Registry) RunOption {
 }
 
 // WithCheck runs the simulation under full invariant checking: the
-// event-stream checker wraps the configured recorder, the cluster's
-// end-of-run state audit is enabled, and any violation turns into a
-// non-nil error from Run/Resume.
+// event-stream checker wraps the configured recorder, and once the run
+// drains check.Audit merges its report with the cluster's state audit
+// and cross-checks the two. Any violation turns into a non-nil error
+// from Run/Resume. Checking is a property of the run, not of the spec:
+// nothing of it reaches a checkpoint frame.
 func WithCheck() RunOption {
 	return func(o *runOptions) { o.check = true }
 }
@@ -131,7 +133,6 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 	if o.check {
 		ck = check.Wrap(spec.Cluster.Recorder)
 		spec.Cluster.Recorder = ck
-		spec.Cluster.SelfCheck = true
 	}
 
 	// Resolve the checkpoint cadence before the cluster is built — the
