@@ -225,12 +225,12 @@ func benchReplay(b *testing.B, tr *trace.Trace, rec telemetry.Recorder) {
 	cfg := cluster.Config{
 		OSDs: 16, WarmupDisabled: true, Seed: 9,
 		Migration: cluster.MigrateMidpoint,
-		Recorder:  rec,
 	}
 	cl, err := cluster.New(cfg, tr)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cl.SetRecorder(rec)
 	cl.SetPlanner(migration.NewHDF(migration.DefaultConfig()))
 	if _, err := cl.Run(); err != nil {
 		b.Fatal(err)

@@ -119,11 +119,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if sink != nil {
-		spec.Cluster.Recorder = sink.Tracer
-		spec.Cluster.Metrics = sink.Registry
-		spec.Cluster.SampleInterval = sinkCfg.Sample
-	}
 
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
@@ -167,6 +162,9 @@ func main() {
 	// Checkpoint frames append to one file: a torn final frame after a
 	// SIGKILL costs at most the newest checkpoint on resume.
 	var runOpts []edm.RunOption
+	if sink != nil {
+		runOpts = append(runOpts, edm.WithTelemetry(sink.Tracer), edm.WithMetrics(sink.Registry, sinkCfg.Sample))
+	}
 	if *checkpointFile != "" {
 		w, err := os.OpenFile(*checkpointFile, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -182,14 +180,11 @@ func main() {
 	var res *edm.Result
 	switch {
 	case *resumeFile != "":
-		// The frame's embedded spec rebuilds the run; re-attach the
-		// process-local telemetry sinks so the regenerated event log and
-		// metric columns cover the whole run, not just the tail.
+		// The frame's embedded spec rebuilds the run; the telemetry
+		// options regenerate the event log and metric columns of the
+		// whole run, not just the tail.
 		if *traceFile != "" {
 			fatalf("-resume replays the checkpoint's embedded spec; drop -trace")
-		}
-		if sink != nil {
-			runOpts = append(runOpts, edm.WithTelemetry(sink.Tracer), edm.WithMetrics(sink.Registry))
 		}
 		f, err := os.Open(*resumeFile)
 		if err != nil {
@@ -202,22 +197,25 @@ func main() {
 		}
 	case *chaosPlan != "":
 		// Hand-built cluster: the injector (and, with -check, the
-		// checker) wrap the recorder before construction, and the plan's
-		// timed faults arm on the built cluster.
-		var ck *check.Checker
-		if *selfCheck {
-			ck = check.Wrap(spec.Cluster.Recorder)
-			spec.Cluster.Recorder = ck
-		}
-		inj = chaos.NewInjector(spec.Cluster.Recorder, plan)
-		spec.Cluster.Recorder = inj
+		// checker) wrap the recorder, and the plan's timed faults arm
+		// on the built cluster.
 		cl, err := edm.NewCluster(spec)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		if ck != nil {
-			check.Bind(ck, cl)
+		var rec telemetry.Recorder
+		if sink != nil {
+			rec = sink.Tracer
+			cl.SetMetrics(sink.Registry, sinkCfg.Sample)
 		}
+		var ck *check.Checker
+		if *selfCheck {
+			ck = check.Wrap(rec)
+			check.Bind(ck, cl)
+			rec = ck
+		}
+		inj = chaos.NewInjector(rec, plan)
+		cl.SetRecorder(inj)
 		inj.Arm(cl, plan)
 		if res, err = cl.RunContext(ctx); err != nil {
 			fatalf("%v", err)

@@ -26,8 +26,9 @@
 // down to the discrete-event engine, which polls it every few thousand
 // events — and options attach process-local concerns: WithCheckpoint
 // writes digest-sealed snapshots a later Resume continues from with
-// byte-identical output, WithTelemetry attaches an event recorder, and
-// WithCheck runs the full invariant-checking harness.
+// byte-identical output, WithTelemetry and WithMetrics attach an event
+// recorder and a metric registry, and WithCheck runs the full
+// invariant-checking harness.
 package edm
 
 import (
@@ -127,7 +128,8 @@ type Result = cluster.Result
 
 // ClusterConfig re-exports the low-level cluster configuration for
 // callers that tune knobs beyond the Spec fields (placement layout,
-// bucket widths, telemetry sinks).
+// bucket widths, open-loop rate). It holds only what a checkpoint frame
+// may carry: observers attach through WithTelemetry and WithMetrics.
 type ClusterConfig = cluster.Config
 
 // BuildTrace materialises the spec's workload.

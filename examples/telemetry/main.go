@@ -35,11 +35,7 @@ func main() {
 	const workload = "home02"
 	fmt.Printf("tracing EDM-HDF on %s, 16 OSDs, midpoint shuffle\n\n", workload)
 
-	sink, err := telemetry.SinkConfig{
-		Dir:    "telemetry-out",
-		Events: "all",
-		Sample: sim.Second / 4,
-	}.NewSink("")
+	sink, err := telemetry.SinkConfig{Dir: "telemetry-out", Events: "all"}.NewSink("")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,11 +47,8 @@ func main() {
 		Scale:    20,
 		Seed:     42,
 	}
-	spec.Cluster.Recorder = sink.Tracer
-	spec.Cluster.Metrics = sink.Registry
-	spec.Cluster.SampleInterval = sim.Second / 4
-
-	res, err := edm.Run(context.Background(), spec)
+	res, err := edm.Run(context.Background(), spec,
+		edm.WithTelemetry(sink.Tracer), edm.WithMetrics(sink.Registry, sim.Second/4))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -62,11 +62,12 @@ func runWith(t *testing.T, sc Scenario, p Plan) (*cluster.Cluster, *Injector, *c
 	cl, err := edm.NewCluster(edm.Spec{
 		Trace: tr, OSDs: sc.OSDs, Groups: sc.Groups, ObjectsPerFile: sc.K,
 		Policy: pol, MigrationMode: &mode, Seed: sc.Seed,
-		Cluster: cluster.Config{WarmupDisabled: true, Recorder: inj},
+		Cluster: cluster.Config{WarmupDisabled: true},
 	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
+	cl.SetRecorder(inj)
 	check.Bind(checker, cl)
 	inj.Arm(cl, p)
 	res, err := cl.RunContext(context.Background())

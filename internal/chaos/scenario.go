@@ -218,7 +218,6 @@ func (sc Scenario) build(checkpointEvery uint64) (*scenarioEnv, error) {
 		Seed:           sc.Seed,
 		Cluster: cluster.Config{
 			WarmupDisabled:  true,
-			Recorder:        inj,
 			CheckpointEvery: checkpointEvery,
 			TestHooks: cluster.TestHooks{
 				MiscountLostOps: sc.PlantBug == PlantBugMiscountLostOps,
@@ -229,6 +228,7 @@ func (sc Scenario) build(checkpointEvery uint64) (*scenarioEnv, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %v", err)
 	}
+	cl.SetRecorder(inj)
 	check.Bind(checker, cl)
 	inj.Arm(cl, sc.Plan)
 	return &scenarioEnv{cl: cl, checker: checker, inj: inj}, nil

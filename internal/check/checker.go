@@ -9,14 +9,14 @@ import (
 
 // Checker is a telemetry.Recorder decorator that verifies event-stream
 // invariants online and forwards every event unchanged to an optional
-// inner recorder. Install it as cluster Config.Recorder (wrapping any
+// inner recorder. Install it with Cluster.SetRecorder (wrapping any
 // tracer that should still see the stream) before the run, and call
 // Finish — or Audit, which also folds in the cluster's state audit —
 // after it.
 //
 // The checker assumes it observes the stream from the start of the
-// measured replay (the cluster attaches recorders after warm-up, so this
-// holds for any checker passed via Config.Recorder).
+// measured replay (SetRecorder is called after New has warmed the
+// cluster up, so this holds for any installed checker).
 type Checker struct {
 	inner telemetry.Recorder // forwarded to when non-nil
 

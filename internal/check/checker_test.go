@@ -51,12 +51,12 @@ func TestDegradedRunAuditsClean(t *testing.T) {
 		OSDs: 16, Groups: 4, ObjectsPerFile: 4, Seed: 9,
 		WarmupDisabled: true,
 		Migration:      cluster.MigrateMidpoint,
-		Recorder:       ck,
 	}
 	cl, err := cluster.New(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl.SetRecorder(ck)
 	Bind(ck, cl)
 	cl.SetPlanner(migration.NewHDF(migration.Config{Lambda: 0.1}))
 	cl.FailOSD(6, 2*sim.Millisecond)
@@ -250,12 +250,12 @@ func TestCheckerCatchesFaultyRecorderEndToEnd(t *testing.T) {
 		OSDs: 8, Groups: 4, ObjectsPerFile: 4, Seed: 1,
 		WarmupDisabled: true,
 		Migration:      cluster.MigrateMidpoint,
-		Recorder:       &tamper{Recorder: ck},
 	}
 	cl, err := cluster.New(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl.SetRecorder(&tamper{Recorder: ck})
 	Bind(ck, cl)
 	cl.SetPlanner(migration.NewHDF(migration.Config{Lambda: 0.1}))
 	if _, err := cl.Run(); err != nil {
@@ -285,10 +285,11 @@ func TestBindSetsRunConstants(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := Wrap(nil)
-	cl, err := cluster.New(cluster.Config{OSDs: 8, WarmupDisabled: true, Recorder: ck}, tr)
+	cl, err := cluster.New(cluster.Config{OSDs: 8, WarmupDisabled: true}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl.SetRecorder(ck)
 	Bind(ck, cl)
 	if ck.pagesPerBlock != cl.OSD(0).SSD.Config().PagesPerBlock {
 		t.Fatalf("pages per block = %d", ck.pagesPerBlock)

@@ -34,12 +34,12 @@ func TestReplayDeterminismWithChecking(t *testing.T) {
 		cfg := cluster.Config{
 			OSDs: osds, Groups: 4, ObjectsPerFile: 4, Seed: 42,
 			Migration: cluster.MigrateMidpoint,
-			Recorder:  ck,
 		}
 		cl, err := cluster.New(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cl.SetRecorder(ck)
 		Bind(ck, cl)
 		cl.SetPlanner(migration.NewHDF(migration.Config{Lambda: 0.1}))
 		if _, err := cl.Run(); err != nil {

@@ -121,12 +121,12 @@ func runChecked(name string, opts GoldenOptions) (*goldenRun, error) {
 	if pol != policy.Baseline {
 		cfg.Migration = cluster.MigrateMidpoint
 	}
-	ck := Wrap(nil)
-	cfg.Recorder = ck
 	cl, err := cluster.New(cfg, tr)
 	if err != nil {
 		return nil, err
 	}
+	ck := Wrap(nil)
+	cl.SetRecorder(ck)
 	Bind(ck, cl)
 	mcfg := migration.DefaultConfig()
 	mcfg.Lambda = opts.Lambda

@@ -81,8 +81,10 @@ type Cluster struct {
 	ckFn     func(now sim.Time) error
 	queueBuf []sim.QueueEntry
 
-	// Telemetry (nil/zero when disabled — the hot paths nil-check).
+	// Telemetry (nil/zero when disabled — the hot paths nil-check),
+	// attached by SetRecorder and SetMetrics.
 	rec      telemetry.Recorder
+	metrics  *telemetry.Registry
 	parked   *telemetry.Counter
 	respHist *telemetry.Histogram
 
@@ -214,17 +216,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 	for _, o := range c.osds {
 		o.SSD.ResetStats()
 	}
-	// Telemetry attaches after warm-up so the event log and metric
-	// columns describe the measured replay only, like the wear counters.
-	c.rec = cfg.Recorder
-	if c.rec != nil {
-		for _, o := range c.osds {
-			o.SSD.SetProbe(flashProbe{c: c, osd: o.ID})
-		}
-	}
-	if cfg.Metrics != nil {
-		c.registerMetrics(cfg.Metrics)
-	}
 	c.adopt(cfg.Scratch)
 	return c, nil
 }
@@ -240,6 +231,33 @@ func (p flashProbe) OnErase(validRatio float64, moved int) {
 	p.c.rec.FlashErase(telemetry.FlashErase{
 		T: p.c.eng.Now(), OSD: p.osd, ValidRatio: validRatio, Moved: moved,
 	})
+}
+
+// SetRecorder installs the event recorder (nil, the default, traces
+// nothing: the hot paths then pay one nil-check per event). Install it
+// after New, whose warm-up it does not see, and before Run.
+func (c *Cluster) SetRecorder(rec telemetry.Recorder) {
+	c.rec = rec
+	for _, o := range c.osds {
+		var p flash.Probe
+		if rec != nil {
+			p = flashProbe{c: c, osd: o.ID}
+		}
+		o.SSD.SetProbe(p)
+	}
+}
+
+// SetMetrics registers the cluster's columns into reg and samples them
+// every `every` of virtual time (zero takes 30 s) from a between-events
+// engine hook until the last operation completes, then once more at the
+// makespan. Call it once, after New and before Run.
+func (c *Cluster) SetMetrics(reg *telemetry.Registry, every sim.Time) {
+	if every <= 0 {
+		every = 30 * sim.Second
+	}
+	c.metrics = reg
+	c.registerMetrics(reg)
+	c.eng.SetSampler(every, reg.Sample)
 }
 
 // registerMetrics publishes the cluster's observable state as named

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"edm/internal/sim"
-	"edm/internal/telemetry"
 )
 
 // ErrInvalidConfig tags every cluster-configuration validation failure
@@ -169,26 +168,12 @@ type Config struct {
 	// must stay JSON-serializable for the wire spec contract.
 	CheckpointEvery uint64
 
-	// Recorder receives typed telemetry events (request lifecycles,
-	// queue samples, flash erases, migration/rebuild progress, HDF
-	// waits). Nil — the default — disables event tracing; instrumented
-	// hot paths then pay exactly one nil-check per event.
-	Recorder telemetry.Recorder
-	// Metrics, when non-nil, has the cluster's counters, gauges and
-	// response histogram registered into it at construction, and is
-	// sampled on the simulation engine every SampleInterval of virtual
-	// time during Run.
-	Metrics *telemetry.Registry
-	// SampleInterval is the Metrics snapshot cadence (default 30
-	// seconds of virtual time; ignored when Metrics is nil).
-	SampleInterval sim.Time
-
 	// Scratch, when non-nil, donates reusable hot-path buffers (RAID
 	// access scratch, pooled completion records, histogram sample
 	// storage) to this run. Recover the grown buffers with
 	// Cluster.Release after Run to recycle them into the next run —
-	// the experiment harness keeps a sync.Pool of these.
-	Scratch *Scratch
+	// the experiment harness keeps a sync.Pool of these. Never encoded.
+	Scratch *Scratch `json:"-"`
 
 	// TestHooks plants deliberate defects for the chaos harness's
 	// self-test (internal/chaos must demonstrate it finds and shrinks a
@@ -218,9 +203,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.ResponseBucket == 0 {
 		c.ResponseBucket = 3 * sim.Minute
-	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = 30 * sim.Second
 	}
 }
 

@@ -231,12 +231,11 @@ func TestFailOSDEdgeSemantics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tinyTrace(t, tc.seed)
 			rec := &failureCounter{}
-			cfg := testConfig(16)
-			cfg.Recorder = rec
-			cl, err := New(cfg, tr)
+			cl, err := New(testConfig(16), tr)
 			if err != nil {
 				t.Fatal(err)
 			}
+			cl.SetRecorder(rec)
 			tc.fail(cl)
 			res, err := cl.Run()
 			if err != nil {

@@ -181,7 +181,7 @@ func (c *Cluster) RunContext(ctx context.Context) (*Result, error) {
 	if err := c.prepare(ctx); err != nil {
 		return nil, err
 	}
-	c.armCheckpoint()
+	c.eng.SetCheckpoint(c.cfg.CheckpointEvery, c.ckFn) // off unless both are set
 	if err := c.eng.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("cluster: run interrupted at %v (%d/%d ops): %w",
 			c.eng.Now(), c.completedOps, c.totalOps, err)
@@ -220,7 +220,7 @@ func (c *Cluster) ContinueContext(ctx context.Context) (*Result, error) {
 	if c.totalOps == 0 {
 		return nil, fmt.Errorf("cluster: ContinueContext without FastForward")
 	}
-	c.armCheckpoint()
+	c.eng.SetCheckpoint(c.cfg.CheckpointEvery, c.ckFn) // off unless both are set
 	if err := c.eng.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("cluster: run interrupted at %v (%d/%d ops): %w",
 			c.eng.Now(), c.completedOps, c.totalOps, err)
@@ -228,20 +228,10 @@ func (c *Cluster) ContinueContext(ctx context.Context) (*Result, error) {
 	return c.buildResult(), nil
 }
 
-// armCheckpoint installs the checkpoint hook on the engine when both
-// the cadence and the hook are configured.
-func (c *Cluster) armCheckpoint() {
-	if c.cfg.CheckpointEvery > 0 && c.ckFn != nil {
-		c.eng.SetCheckpoint(c.cfg.CheckpointEvery, c.ckFn)
-	} else {
-		c.eng.SetCheckpoint(0, nil)
-	}
-}
-
 // prepare builds the replay schedule: stream sharding, migration
-// triggers, metric sampling, and the initial event population. It is
-// the first half of a run; eng.RunContext (or RunContextFired on a
-// resume) then drains the schedule and buildResult produces the Result.
+// triggers and the initial event population. It is the first half of a
+// run; eng.RunContext (or RunContextFired on a resume) then drains the
+// schedule and buildResult produces the Result.
 func (c *Cluster) prepare(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("cluster: run not started: %w", err)
@@ -269,11 +259,6 @@ func (c *Cluster) prepare(ctx context.Context) error {
 		c.wearTicker = c.eng.Every(c.cfg.TemperatureInterval, func(now sim.Time) {
 			c.maybeMigrate(now, false)
 		})
-	}
-	if c.cfg.Metrics != nil {
-		// Periodic metric snapshots on the engine clock, stopped with
-		// the wear ticker when the last operation completes.
-		c.cfg.Metrics.StartSampling(c.eng, c.cfg.SampleInterval)
 	}
 
 	if c.cfg.OpenLoopRate > 0 {
@@ -475,9 +460,7 @@ func (c *Cluster) opCompleted(issued, done sim.Time) {
 		if c.wearTicker != nil {
 			c.wearTicker.Stop()
 		}
-		if c.cfg.Metrics != nil {
-			c.cfg.Metrics.StopSampling()
-		}
+		c.eng.SetSampler(0, nil) // metric samples stop with the replay
 	}
 }
 
@@ -616,10 +599,10 @@ func pagesOf(bytes, pageSize int64) int64 {
 }
 
 func (c *Cluster) buildResult() *Result {
-	if c.cfg.Metrics != nil {
+	if c.metrics != nil {
 		// Close the snapshot series with a final row at the makespan, so
-		// short runs (makespan < SampleInterval) still export state.
-		c.cfg.Metrics.Sample(c.eng.Now())
+		// short runs (makespan < the sample interval) still export state.
+		c.metrics.Sample(c.eng.Now())
 	}
 	res := &Result{
 		Policy:    c.policyName(),

@@ -16,11 +16,18 @@ func tracedRun(t *testing.T, seed uint64, mask telemetry.Class) (ndjson, csv []b
 	workload := tinyTrace(t, seed)
 	cfg := testConfig(16)
 	cfg.Migration = MigrateMidpoint
+	cl, err := New(cfg, workload)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr = telemetry.NewTracer(mask)
 	reg := telemetry.NewRegistry()
-	cfg.Recorder = tr
-	cfg.Metrics = reg
-	runPolicy(t, cfg, workload, migration.NewHDF(migration.DefaultConfig()))
+	cl.SetRecorder(tr)
+	cl.SetMetrics(reg, 0)
+	cl.SetPlanner(migration.NewHDF(migration.DefaultConfig()))
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	var events, snaps bytes.Buffer
 	if err := telemetry.WriteNDJSON(&events, tr.Events()); err != nil {
@@ -129,13 +136,12 @@ func TestMaskSuppressesClasses(t *testing.T) {
 // the failure/rebuild lifecycle appears with consistent totals.
 func TestFailureRebuildTelemetry(t *testing.T) {
 	workload := tinyTrace(t, 4)
-	cfg := testConfig(16)
-	tr := telemetry.NewTracer(telemetry.ClassFailure)
-	cfg.Recorder = tr
-	cl, err := New(cfg, workload)
+	cl, err := New(testConfig(16), workload)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := telemetry.NewTracer(telemetry.ClassFailure)
+	cl.SetRecorder(tr)
 	cl.FailOSD(3, sim.Second)
 	cl.Rebuild(3, 2*sim.Second)
 	if _, err := cl.Run(); err != nil {

@@ -46,9 +46,7 @@ func run(opts Options, label string, spec edm.Spec) (*edm.Result, error) {
 		return nil, err
 	}
 	if sink != nil {
-		spec.Cluster.Recorder = sink.Tracer
-		spec.Cluster.Metrics = sink.Registry
-		spec.Cluster.SampleInterval = opts.Telemetry.Sample
+		runOpts = append(runOpts, edm.WithTelemetry(sink.Tracer), edm.WithMetrics(sink.Registry, opts.Telemetry.Sample))
 	}
 	scr := scratchPool.Get().(*cluster.Scratch)
 	defer scratchPool.Put(scr)

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,14 +178,17 @@ func TestBadResumeRejected(t *testing.T) {
 // cleans the state files up. A frame file the new server cannot read —
 // here one written with the previous frame version — restarts the job
 // from event 0 and is replaced, so the next crash resumes from a
-// current frame instead of restarting again.
+// current frame instead of restarting again. Every state file recovery
+// drops leaves one log line naming it.
 func TestStateDirRecovery(t *testing.T) {
 	want := directRun(t, midReq())
 
 	t.Run("newest frame", func(t *testing.T) {
 		dir := t.TempDir()
 		id := firstLife(t, dir)
+		logged := captureLog(t)
 		finishRecovered(t, dir, id, want)
+		requireDropped(t, logged)
 	})
 
 	t.Run("previous frame version", func(t *testing.T) {
@@ -201,7 +206,9 @@ func TestStateDirRecovery(t *testing.T) {
 
 		// Second life: the frame is refused, so the job restarts from
 		// event 0; it crashes again after a fresh checkpoint.
+		logged := captureLog(t)
 		s, ts, c := startLife(dir)
+		requireDropped(t, logged, ckPath)
 		if view, err := c.Status(context.Background(), id); err != nil || len(view.Request.Resume) != 0 {
 			t.Fatalf("job with a previous-version frame was re-admitted with %d resume bytes (%v), want a restart",
 				len(view.Request.Resume), err)
@@ -218,6 +225,61 @@ func TestStateDirRecovery(t *testing.T) {
 		// Third life resumes from that frame and finishes.
 		finishRecovered(t, dir, id, want)
 	})
+
+	t.Run("unusable requests", func(t *testing.T) {
+		dir := t.TempDir()
+		garbled := filepath.Join(dir, "run-7.req")
+		invalid := filepath.Join(dir, "run-8.req")
+		if err := os.WriteFile(garbled, []byte("{not json"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(invalid, []byte(`{"workload":"home99"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		logged := captureLog(t)
+		s, ts, _ := startLife(dir)
+		defer ts.Close()
+		defer s.Shutdown(context.Background())
+		requireDropped(t, logged, garbled, invalid)
+		if n := s.Recovered(); n != 0 {
+			t.Fatalf("recovered %d jobs from unusable requests", n)
+		}
+		for _, name := range []string{garbled, invalid} {
+			if _, err := os.Stat(name); !os.IsNotExist(err) {
+				t.Errorf("%s still on disk (%v)", name, err)
+			}
+		}
+	})
+}
+
+// captureLog sends the standard logger's output to a buffer until the
+// test ends.
+func captureLog(t *testing.T) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	return &buf
+}
+
+// requireDropped checks the log holds exactly one recovery line per
+// dropped path, in order, and no other.
+func requireDropped(t *testing.T, logged *bytes.Buffer, paths ...string) {
+	t.Helper()
+	var lines []string
+	for _, l := range strings.Split(logged.String(), "\n") {
+		if strings.Contains(l, "recovery dropped") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) != len(paths) {
+		t.Fatalf("%d recovery lines, want %d:\n%s", len(lines), len(paths), logged)
+	}
+	for i, p := range paths {
+		if !strings.Contains(lines[i], "recovery dropped "+p+": ") {
+			t.Errorf("line %d = %q, want it to name %s", i, lines[i], p)
+		}
+	}
 }
 
 // startLife starts a server over the state directory dir.

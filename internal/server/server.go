@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -200,7 +201,8 @@ func New(cfg Config) *Server {
 // from the newest complete frame in <id>.ckpt when one exists. Runs
 // before the worker pool starts, so recovered jobs keep submission
 // order. Recovery is capped at the queue capacity; any surplus stays on
-// disk for the next restart.
+// disk for the next restart. A file it cannot use is removed, with one
+// log line naming it and the reason.
 func (s *Server) recoverState() {
 	if s.cfg.StateDir == "" {
 		return
@@ -219,7 +221,7 @@ func (s *Server) recoverState() {
 		}
 		var req RunRequest
 		if err := json.Unmarshal(raw, &req); err != nil {
-			_ = os.Remove(name) // undecodable: drop, or it wedges every restart
+			dropState(name, "undecodable request", err) // kept, it would wedge every restart
 			continue
 		}
 		ckPath := filepath.Join(s.cfg.StateDir, id+".ckpt")
@@ -233,12 +235,12 @@ func (s *Server) recoverState() {
 				// would otherwise be appended behind the bad head,
 				// which ReadLast never gets past, and every later
 				// restart would begin from event 0 again.
-				_ = os.Remove(ckPath)
+				dropState(ckPath, "no readable first frame, the job restarts from event 0", err)
 			}
 		}
 		spec, err := req.Spec()
 		if err != nil {
-			_ = os.Remove(name)
+			dropState(name, "spec no longer validates", err)
 			continue
 		}
 		class, err := req.class()
@@ -261,6 +263,13 @@ func (s *Server) recoverState() {
 		s.accepted.Add(1)
 		s.recovered.Add(1)
 	}
+}
+
+// dropState removes a state file recovery cannot use and logs which
+// file went and why.
+func dropState(path, reason string, err error) {
+	log.Printf("edmd: recovery dropped %s: %s: %v", path, reason, err)
+	_ = os.Remove(path)
 }
 
 // Recovered reports how many interrupted jobs New re-admitted from

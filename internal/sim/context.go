@@ -21,7 +21,7 @@ const CancelCheckInterval = 4096
 // must do so with the same engine).
 //
 // A ctx that can never be cancelled (context.Background, context.TODO)
-// takes the same drain loop as Run when no checkpoint hook is armed, so
+// takes the same drain loop as Run when no hook is armed, so
 // the zero-alloc steady-state benchmarks hold for both entry points.
 func (e *Engine) RunContext(ctx context.Context) error {
 	e.guard()
@@ -47,11 +47,11 @@ func (e *Engine) RunContextFired(ctx context.Context, target uint64) error {
 
 // runLoop is the shared body of RunContext and RunContextFired:
 // target == 0 drains the queue, target > 0 stops at that fired count.
-// The checkpoint hook, when armed, runs between events on its cadence.
+// The sampler and checkpoint hooks, when armed, run between events.
 func (e *Engine) runLoop(ctx context.Context, target uint64) error {
 	done := ctx.Done()
 	hooked := e.ckEvery != 0
-	if done == nil && !hooked && target == 0 {
+	if done == nil && !hooked && e.smp == nil && target == 0 {
 		for e.Step() {
 		}
 		return nil
@@ -67,6 +67,9 @@ func (e *Engine) runLoop(ctx context.Context, target uint64) error {
 		for i := 0; i < CancelCheckInterval; i++ {
 			if target != 0 && e.fired >= target {
 				return nil
+			}
+			if e.smp != nil {
+				e.sample()
 			}
 			if !e.Step() {
 				if target != 0 && e.fired < target {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -126,5 +127,75 @@ func TestRunContextSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("RunContext steady state allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// The sampler runs between events, once per instant and before the
+// first event at or after it, and leaves the schedule as it found it:
+// no queue slot, no sequence number, no fired count.
+func TestSamplerRunsBetweenEvents(t *testing.T) {
+	schedule := func(e *Engine, log *[]string) {
+		for _, at := range []Time{5, 10, 10, 11, 47} {
+			e.At(at, func(now Time) { *log = append(*log, fmt.Sprintf("event@%d", now)) })
+		}
+	}
+	var plain []string
+	ref := New()
+	schedule(ref, &plain)
+	if err := ref.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	var log []string
+	e := New()
+	schedule(e, &log)
+	e.SetSampler(10, func(at Time) {
+		log = append(log, fmt.Sprintf("sample@%d(now %d, fired %d, pending %d)", at, e.Now(), e.Fired(), e.Pending()))
+	})
+	// Fire in two legs, like a resume's fast-forward and continuation:
+	// the boundary must neither repeat nor skip a sample.
+	if err := e.RunContextFired(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"event@5",
+		"sample@10(now 5, fired 1, pending 4)",
+		"event@10", "event@10", "event@11",
+		"sample@20(now 11, fired 4, pending 1)",
+		"sample@30(now 11, fired 4, pending 1)",
+		"sample@40(now 11, fired 4, pending 1)",
+		"event@47",
+	}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log\n got %v\nwant %v", log, want)
+	}
+	if e.Fired() != ref.Fired() || e.Seq() != ref.Seq() || e.Now() != ref.Now() {
+		t.Fatalf("sampled engine ends at fired %d seq %d now %v, unsampled at %d %d %v",
+			e.Fired(), e.Seq(), e.Now(), ref.Fired(), ref.Seq(), ref.Now())
+	}
+}
+
+// A sampler removed from inside an event stops before the next
+// instant; an armed sampler does not keep a drained queue alive.
+func TestSamplerStops(t *testing.T) {
+	e := New()
+	var samples []Time
+	e.SetSampler(3, func(at Time) { samples = append(samples, at) })
+	e.At(7, func(Time) { e.SetSampler(0, nil) })
+	e.At(20, func(Time) {})
+	if err := e.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(samples) != "[3ns 6ns]" || e.Now() != 20 {
+		t.Fatalf("samples %v, now %v; want [3ns 6ns] and 20ns", samples, e.Now())
+	}
+
+	e = New()
+	e.SetSampler(3, func(at Time) { t.Fatalf("sampled %v with nothing scheduled", at) })
+	if err := e.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

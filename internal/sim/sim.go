@@ -120,6 +120,16 @@ type Engine struct {
 	// no-hook run loops stay branch-free.
 	ckEvery uint64
 	ckFn    func(now Time) error
+
+	// Sampler hook (SetSampler), nil when off; a pointer, so an engine
+	// without one keeps its allocation size class.
+	smp *sampler
+}
+
+// sampler is an armed SetSampler hook: fn(next) is the next to run.
+type sampler struct {
+	every, next Time
+	fn          func(at Time)
 }
 
 // New returns an engine with the clock at zero and an empty queue.
@@ -180,6 +190,29 @@ func (e *Engine) SetCheckpoint(every uint64, fn func(now Time) error) {
 		return
 	}
 	e.ckEvery, e.ckFn = every, fn
+}
+
+// SetSampler installs fn to run between events, once for each instant
+// t = now + k·every (k ≥ 1), before the first event at or after t. It
+// takes no queue slot, sequence number or fired count, so a sampled
+// run's schedule and state captures equal an unsampled one's. Like
+// SetCheckpoint it is honoured by RunContext and RunContextFired, and
+// fn must not mutate simulation state. every <= 0 or fn == nil removes
+// the hook.
+func (e *Engine) SetSampler(every Time, fn func(at Time)) {
+	e.smp = nil
+	if every > 0 && fn != nil {
+		e.smp = &sampler{every: every, next: e.now + every, fn: fn}
+	}
+}
+
+// sample runs the sampler for each instant up to the next event's time.
+func (e *Engine) sample() {
+	for e.smp != nil && len(e.heap) > 0 && e.smp.next <= e.slots[e.heap[0]].at {
+		t := e.smp.next
+		e.smp.next += e.smp.every
+		e.smp.fn(t)
+	}
 }
 
 // alloc reserves a slot for an event at the given instant and links it

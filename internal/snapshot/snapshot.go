@@ -8,10 +8,11 @@
 // records, closures, ticker thunks — that cannot be serialized and
 // re-hydrated. But the simulation is deterministic: the full mid-run
 // state is a pure function of (spec, number of fired events). A
-// snapshot therefore stores the *replay coordinates* — the sanitized
-// spec JSON (plus the encoded trace when the spec carried an explicit
-// one) and the fired-event count — together with a digest-sealed
-// capture of the complete cluster state at that point.
+// snapshot therefore stores the *replay coordinates* — the spec JSON
+// (plus the encoded trace when the spec carried an explicit one) and
+// the fired-event count — together with a digest-sealed capture of the
+// complete cluster state at that point. Observers are in neither: they
+// attach to a run outside its spec and take no event-queue slot.
 //
 // Restore rebuilds the cluster from the embedded spec, fast-forwards
 // deterministically to the recorded event count, re-exports the state
@@ -91,8 +92,8 @@ type Snapshot struct {
 	// FormatVersion is the frame format version the snapshot was
 	// written with.
 	FormatVersion int `json:"format_version"`
-	// SpecJSON is the sanitized edm.Spec (telemetry handles and scratch
-	// nil'd, explicit trace extracted) that rebuilds the cluster.
+	// SpecJSON is the edm.Spec (explicit trace extracted) that rebuilds
+	// the cluster.
 	SpecJSON json.RawMessage `json:"spec"`
 	// TraceData is the trace.Encode serialization of the spec's
 	// explicit trace; empty when the spec names a generated workload

@@ -9,17 +9,17 @@ import (
 )
 
 // Registry holds named counters, gauges and histograms and samples them
-// into a snapshot series on a virtual-time cadence. Metrics contribute
+// into a snapshot series, one row per Sample call (a cluster calls it
+// on a virtual-time cadence: cluster.SetMetrics). Metrics contribute
 // columns in registration order, so the CSV export is deterministic.
 //
 // A Registry belongs to one simulation run; like the engine, it is not
 // safe for concurrent use.
 type Registry struct {
-	names   []string
-	sample  []func(now sim.Time) float64
-	byName  map[string]bool
-	rows    []SnapshotRow
-	sampler *sim.Ticker
+	names  []string
+	sample []func(now sim.Time) float64
+	byName map[string]bool
+	rows   []SnapshotRow
 }
 
 // SnapshotRow is one sampling instant: the values of every registered
@@ -136,24 +136,5 @@ func (r *Registry) WriteText(w io.Writer, prefix string, now sim.Time) {
 	vals := r.Snapshot(now)
 	for i, name := range r.names {
 		fmt.Fprintf(w, "%s%s %v\n", prefix, name, vals[i])
-	}
-}
-
-// StartSampling schedules Sample on the engine every interval of
-// virtual time — the periodic snapshot driver. Call StopSampling (or
-// stop the returned ticker) when the run's last operation completes so
-// the event queue can drain.
-func (r *Registry) StartSampling(eng *sim.Engine, every sim.Time) *sim.Ticker {
-	if r.sampler != nil {
-		panic("telemetry: sampling already started")
-	}
-	r.sampler = eng.Every(every, func(now sim.Time) { r.Sample(now) })
-	return r.sampler
-}
-
-// StopSampling cancels the periodic sampler (no-op if never started).
-func (r *Registry) StopSampling() {
-	if r.sampler != nil {
-		r.sampler.Stop()
 	}
 }

@@ -17,16 +17,17 @@ type SinkConfig struct {
 	// Events filters the event log by class (ParseClasses syntax;
 	// empty means all).
 	Events string
-	// Sample is the metric-snapshot cadence in virtual time (zero takes
-	// the cluster default).
+	// Sample is the metric-snapshot cadence in virtual time, passed to
+	// edm.WithMetrics (zero takes its default, 30 seconds).
 	Sample sim.Time
 }
 
 // Enabled reports whether an output directory was requested.
 func (c SinkConfig) Enabled() bool { return c.Dir != "" }
 
-// Sink buffers one run's telemetry and flushes it to files. Wire
-// Tracer/Registry into the run's cluster.Config, run, then Flush.
+// Sink buffers one run's telemetry and flushes it to files. Attach
+// Tracer and Registry to the run (edm.WithTelemetry, edm.WithMetrics),
+// run, then Flush.
 type Sink struct {
 	dir   string
 	label string

@@ -11,8 +11,9 @@
 //     nil when telemetry is off, so the disabled cost is exactly one
 //     nil-check and zero allocations per event; Nop is the no-op default
 //     for callers that want a non-nil recorder.
-//   - A Registry of named counters, gauges and histograms with periodic
-//     virtual-time snapshot sampling driven by the sim engine.
+//   - A Registry of named counters, gauges and histograms, sampled into
+//     a snapshot series at virtual-time instants by a sim engine hook
+//     that runs between events.
 //   - Exporters: an NDJSON event log, a CSV snapshot series, and a
 //     Chrome trace_event JSON that opens directly in chrome://tracing or
 //     Perfetto (see export.go).
@@ -20,7 +21,11 @@
 // Determinism: events carry virtual timestamps only, recorders append in
 // callback order, and every exporter iterates in insertion or
 // registration order — so the byte output of a run is a pure function of
-// (spec, seed), a property the replay tests assert.
+// (spec, seed), a property the replay tests assert. Observers also stay
+// off the run's own determinism path: a run takes them through
+// edm.WithTelemetry and edm.WithMetrics, never through its spec, and
+// neither takes an event-queue slot, so no result or checkpoint frame
+// depends on which are attached.
 package telemetry
 
 import (

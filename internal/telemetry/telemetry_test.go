@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -182,7 +183,7 @@ func TestRegistrySampling(t *testing.T) {
 	hist := reg.Histogram("resp")
 
 	eng := sim.New()
-	reg.StartSampling(eng, sim.Second)
+	eng.SetSampler(sim.Second, reg.Sample)
 	eng.At(sim.Second/2, func(sim.Time) {
 		ctr.Inc()
 		ctr.Add(2)
@@ -191,9 +192,11 @@ func TestRegistrySampling(t *testing.T) {
 	})
 	eng.At(2*sim.Second+sim.Second/2, func(sim.Time) {
 		hist.Observe(1.5)
-		reg.StopSampling()
+		eng.SetSampler(0, nil)
 	})
-	eng.Run()
+	if err := eng.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	wantNames := []string{"ops", "level", "now_s", "resp.count", "resp.mean", "resp.p99"}
 	if got := strings.Join(reg.Names(), " "); got != strings.Join(wantNames, " ") {
@@ -218,6 +221,11 @@ func TestRegistrySampling(t *testing.T) {
 	}
 	if r0.Values[3] != 1 || r0.Values[4] != 0.5 {
 		t.Errorf("histogram columns = %v, want count 1 mean 0.5", r0.Values[3:])
+	}
+	// The 2 s sample runs before the 2.5 s event that stops sampling;
+	// nothing samples after it.
+	if last := rows[len(rows)-1]; last.T != 2*sim.Second || last.Values[3] != 1 {
+		t.Errorf("last sample at %v with %v responses, want 2s with 1", last.T, last.Values[3])
 	}
 }
 

@@ -2,6 +2,7 @@ package edm
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -21,9 +22,8 @@ import (
 // spec sets none.
 const DefaultCheckpointEvery = 100_000
 
-// demandPollInterval is how often (in fired events) the checkpoint hook
-// polls for on-demand requests when a CheckpointTrigger is installed.
-// Finer than the frame cadence so a demand checkpoint lands within
+// demandPollInterval bounds how many fired events pass between polls of
+// a CheckpointTrigger: fine enough that a demand checkpoint lands within
 // microseconds of wall time, coarse enough to stay off the hot path.
 const demandPollInterval = 4096
 
@@ -33,12 +33,13 @@ const demandPollInterval = 4096
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	ckW     io.Writer
-	ckEvery uint64
-	trigger *CheckpointTrigger
-	rec     telemetry.Recorder
-	metrics *telemetry.Registry
-	check   bool
+	ckW         io.Writer
+	ckEvery     uint64
+	trigger     *CheckpointTrigger
+	rec         telemetry.Recorder
+	metrics     *telemetry.Registry
+	sampleEvery sim.Time
+	check       bool
 }
 
 // WithCheckpoint makes the run write digest-sealed snapshot frames to w
@@ -54,10 +55,11 @@ func WithCheckpoint(w io.Writer, every uint64) RunOption {
 
 // CheckpointTrigger requests out-of-band checkpoints of a running
 // simulation from another goroutine. Request is safe for concurrent
-// use; the run polls the trigger between simulation events (every
-// demandPollInterval fired events) and writes one extra frame per
-// request. Demand frames do not perturb the run or shift the cadence
-// frames — capture is read-only and cadence positions are absolute.
+// use; the run polls the trigger between simulation events, at a
+// cadence that divides both the frame cadence and demandPollInterval,
+// and writes one extra frame per request. Demand frames do not perturb
+// the run or shift the cadence frames — capture is read-only and
+// cadence positions are absolute.
 type CheckpointTrigger struct{ flag atomic.Bool }
 
 // Request asks the run to write a checkpoint at the next poll point.
@@ -71,19 +73,22 @@ func WithCheckpointTrigger(t *CheckpointTrigger) RunOption {
 	return func(o *runOptions) { o.trigger = t }
 }
 
-// WithTelemetry installs rec as the run's event recorder (equivalent to
-// setting Spec.Cluster.Recorder, which it overrides when both are set).
+// WithTelemetry installs rec as the run's event recorder — the one way
+// to trace a run. A recorder only observes: it never changes the result
+// or a checkpoint frame, so a Resume re-attaches one (or another, or
+// none) to regenerate the whole run's event log.
 func WithTelemetry(rec telemetry.Recorder) RunOption {
 	return func(o *runOptions) { o.rec = rec }
 }
 
-// WithMetrics attaches reg as the run's metric registry (equivalent to
-// setting Spec.Cluster.Metrics, which it overrides when both are set).
-// Like WithTelemetry, it exists so a Resume — whose spec comes from the
-// frame with process-local handles stripped — can re-attach its sinks
-// and regenerate complete metric columns.
-func WithMetrics(reg *telemetry.Registry) RunOption {
-	return func(o *runOptions) { o.metrics = reg }
+// WithMetrics attaches reg as the run's metric registry — the one way
+// to collect metric columns — sampled every `every` of virtual time
+// (zero takes 30 seconds). The cadence belongs to this call, not to
+// the spec: samples come from an engine hook between events, so they
+// never change the result or a checkpoint frame, and a Resume picks its
+// own cadence when it re-attaches a registry.
+func WithMetrics(reg *telemetry.Registry, every sim.Time) RunOption {
+	return func(o *runOptions) { o.metrics, o.sampleEvery = reg, every }
 }
 
 // WithCheck runs the simulation under full invariant checking: the
@@ -120,91 +125,68 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	explicitTrace := spec.Trace != nil
-	spec.Trace = tr
-
-	if o.rec != nil {
-		spec.Cluster.Recorder = o.rec
-	}
-	if o.metrics != nil {
-		spec.Cluster.Metrics = o.metrics
-	}
-	var ck *check.Checker
-	if o.check {
-		ck = check.Wrap(spec.Cluster.Recorder)
-		spec.Cluster.Recorder = ck
-	}
-
-	// Resolve the checkpoint cadence before the cluster is built — the
-	// engine hook cadence is part of cluster.Config. `every` is the
-	// frame cadence; `poll` is the hook cadence, finer when a demand
-	// trigger needs sub-cadence responsiveness (every is then rounded
-	// to a poll multiple so cadence frames still land exactly).
-	var every, poll uint64
+	// A frame embeds the replay coordinates: the spec with its trace
+	// extracted and the frame cadence set (nothing an observer or a
+	// trigger set), and an explicit trace's bytes; a generated trace
+	// needs none, the generator being deterministic in the spec. The
+	// hook polls at a divisor of the frame cadence, finer when a demand
+	// trigger needs sub-cadence responsiveness.
+	var every uint64
+	var specJSON, traceData []byte
 	if o.ckW != nil {
-		every = o.ckEvery
-		if every == 0 {
-			every = spec.CheckpointEvery
-		}
-		if every == 0 {
-			every = spec.Cluster.CheckpointEvery
-		}
-		if every == 0 {
-			every = DefaultCheckpointEvery
-		}
-		poll = every
-		if o.trigger != nil && poll > demandPollInterval {
-			poll = demandPollInterval
-			every -= every % poll
-		}
-		spec.CheckpointEvery = every
-		spec.Cluster.CheckpointEvery = poll
-	}
-
-	cl, err := NewCluster(spec)
-	if err != nil {
-		return nil, err
-	}
-	if ck != nil {
-		check.Bind(ck, cl)
-	}
-
-	if o.ckW != nil {
-		// The replay coordinates every frame embeds: the sanitized spec
-		// (process-local handles stripped, trace extracted) and, for an
-		// explicit trace, its serialized form. Generated workloads need
-		// no trace bytes — the generator is deterministic in the spec.
+		every = cmp.Or(o.ckEvery, spec.CheckpointEvery, spec.Cluster.CheckpointEvery, DefaultCheckpointEvery)
+		spec.CheckpointEvery, spec.Cluster.CheckpointEvery = every, every
 		snapSpec := spec
 		snapSpec.Trace = nil
-		snapSpec.Cluster.Recorder = nil
-		snapSpec.Cluster.Metrics = nil
-		snapSpec.Cluster.Scratch = nil
-		specJSON, err := json.Marshal(snapSpec)
-		if err != nil {
+		if specJSON, err = json.Marshal(snapSpec); err != nil {
 			return nil, fmt.Errorf("edm: encoding spec for checkpoints: %w", err)
 		}
-		var traceData []byte
-		if explicitTrace {
+		if spec.Trace != nil {
 			var b bytes.Buffer
 			if err := tr.Encode(&b); err != nil {
 				return nil, fmt.Errorf("edm: encoding trace for checkpoints: %w", err)
 			}
 			traceData = b.Bytes()
 		}
-		w, trigger, frameEvery := o.ckW, o.trigger, every
+		if o.trigger != nil {
+			spec.Cluster.CheckpointEvery = gcd(every, demandPollInterval)
+		}
+	}
+	spec.Trace = tr
+
+	cl, err := NewCluster(spec)
+	if err != nil {
+		return nil, err
+	}
+	rec := o.rec
+	var ck *check.Checker
+	if o.check {
+		ck = check.Wrap(rec)
+		check.Bind(ck, cl)
+		rec = ck
+	}
+	cl.SetRecorder(rec)
+	if o.metrics != nil {
+		cl.SetMetrics(o.metrics, o.sampleEvery)
+	}
+	if o.ckW != nil {
+		w, trigger := o.ckW, o.trigger
 		cl.SetCheckpoint(func(sim.Time) error {
-			fired := cl.Engine().Fired()
-			due := fired%frameEvery == 0
-			if trigger != nil && trigger.take() {
-				due = true
-			}
-			if !due {
+			demanded := trigger != nil && trigger.take()
+			if cl.Engine().Fired()%every != 0 && !demanded {
 				return nil
 			}
 			return snapshot.Capture(cl, specJSON, traceData).EncodeTo(w)
 		})
 	}
 	return &runEnv{cl: cl, ck: ck, scratch: spec.Cluster.Scratch}, nil
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // finish is the post-run half of Run and Resume: the WithCheck audit,
@@ -226,7 +208,7 @@ func (e *runEnv) finish() error {
 // Run executes the spec end to end under ctx and returns the result.
 // Options attach the process-local concerns a serializable Spec cannot
 // carry: checkpoint writers (WithCheckpoint, WithCheckpointTrigger),
-// telemetry recorders (WithTelemetry), and invariant checking
+// observers (WithTelemetry, WithMetrics), and invariant checking
 // (WithCheck).
 //
 // Cancellation is observed by the discrete-event engine within
