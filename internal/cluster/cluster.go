@@ -68,8 +68,7 @@ type Cluster struct {
 	remap  *remap.Table
 	stream *rng.Stream
 
-	tr       *trace.Trace
-	fileSize map[trace.FileID]int64
+	tr *trace.Trace
 
 	planner    migration.Planner
 	migrating  bool
@@ -79,6 +78,7 @@ type Cluster struct {
 	// hook is armed on the engine only while the run is live — never
 	// during a FastForward replay, which must not rewrite checkpoints.
 	ckFn     func(now sim.Time) error
+	ckPoll   uint64
 	queueBuf []sim.QueueEntry
 
 	// Telemetry (nil/zero when disabled — the hot paths nil-check),
@@ -191,7 +191,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 		remap:      remap.New(),
 		stream:     rng.New(cfg.Seed ^ 0xedc0ffee),
 		tr:         tr,
-		fileSize:   make(map[trace.FileID]int64, len(tr.Files)),
 		locked:     make(map[object.ID]bool),
 		waiters:    make(map[object.ID][]pendingOp),
 		failed:     make(map[int]bool),
@@ -199,10 +198,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 		respAll:    &metrics.Histogram{},
 		respMigr:   &metrics.Histogram{},
 	}
-	for _, f := range tr.Files {
-		c.fileSize[f.ID] = f.Size
-	}
-
 	if err := c.buildDevices(); err != nil {
 		return nil, err
 	}
@@ -315,6 +310,12 @@ func (c *Cluster) SetPlanner(p migration.Planner) { c.planner = p }
 // Config stays JSON-serializable; install it after New and before Run.
 // A nil fn (or CheckpointEvery == 0) disables checkpointing.
 func (c *Cluster) SetCheckpoint(fn func(now sim.Time) error) { c.ckFn = fn }
+
+// SetCheckpointPoll makes the checkpoint hook run also whenever the
+// fired count reaches a multiple of poll — the positions at which a
+// demand trigger is polled — besides every Config.CheckpointEvery
+// events. Zero, the default, runs it on the cadence alone.
+func (c *Cluster) SetCheckpointPoll(poll uint64) { c.ckPoll = poll }
 
 // objectID derives the cluster-unique object id of a file's idx-th
 // object.

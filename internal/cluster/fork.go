@@ -1,0 +1,249 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"maps"
+	"slices"
+
+	"edm/internal/metrics"
+	"edm/internal/migration"
+	"edm/internal/object"
+	"edm/internal/rng"
+	"edm/internal/sim"
+)
+
+// ErrUnforkable tags every refusal of Fork and RunPrefix: the cluster
+// holds something a copy cannot take over (an observer, a checkpoint
+// hook, a closure event, a lock or move in flight), or its run has no
+// policy-independent prefix. Test with errors.Is.
+var ErrUnforkable = errors.New("cluster cannot be forked")
+
+func unforkable(reason string) error {
+	return fmt.Errorf("cluster: %s: %w", reason, ErrUnforkable)
+}
+
+// Fork returns a deep copy of a cluster paused between events (built,
+// fast-forwarded or paused by RunPrefix, but not running): continued
+// with ContinueContext, the copy replays exactly what the original
+// would from there. The original is only read — any number of forks of
+// one cluster may be taken concurrently, provided nothing runs it — and
+// the copy shares no mutable memory with it; the trace and the
+// placement tables fixed at build time are shared read-only. A non-nil
+// s donates the copy's buffers, as Config.Scratch does for New.
+//
+// The copy has no planner (planners keep scratch of their own: install
+// one with SetPlanner or Retarget), and none of the original's
+// observers or checkpoint hook. Fork refuses, with an error wrapping
+// ErrUnforkable, a cluster that has a recorder, a metric registry or a
+// checkpoint hook attached, a migration round, lock or parked request
+// in flight, or a pending event that is a closure (failure injection,
+// rebuild) or a wear ticker.
+func (c *Cluster) Fork(s *Scratch) (*Cluster, error) {
+	switch {
+	case c.rec != nil:
+		return nil, unforkable("a recorder is attached")
+	case c.metrics != nil:
+		return nil, unforkable("a metric registry is attached")
+	case c.ckFn != nil:
+		return nil, unforkable("a checkpoint hook is attached")
+	case c.migrating || len(c.locked) > 0 || len(c.waiters) > 0:
+		return nil, unforkable("a migration round is in flight")
+	}
+	seed, draws := c.stream.State()
+	if draws != 0 {
+		return nil, unforkable("the warm-up stream has been drawn from")
+	}
+	f := &Cluster{
+		cfg:    c.cfg,
+		layout: c.layout,
+		geom:   c.geom,
+		remap:  c.remap.Clone(),
+		stream: rng.New(seed),
+		tr:     c.tr,
+
+		locked:        make(map[object.ID]bool),
+		waiters:       make(map[object.ID][]pendingOp),
+		failed:        maps.Clone(c.failed),
+		failedAt:      c.failedAt,
+		degradedOps:   c.degradedOps,
+		lostOps:       c.lostOps,
+		rebuilt:       c.rebuilt,
+		rebuiltBytes:  c.rebuiltBytes,
+		unrebuildable: c.unrebuildable,
+		rebuildStart:  c.rebuildStart,
+		rebuildEnd:    c.rebuildEnd,
+
+		totalOps:     c.totalOps,
+		completedOps: c.completedOps,
+		migrateAfter: c.migrateAfter,
+		respSeries:   c.respSeries.Clone(),
+		respAll:      &metrics.Histogram{},
+		respMigr:     c.respMigr.Clone(nil),
+		rejected:     c.rejected,
+
+		k:         c.k,
+		fileRanks: c.fileRanks,
+		rankByID:  c.rankByID,
+		oids:      c.oids,
+		owner:     slices.Clone(c.owner),
+		oslot:     slices.Clone(c.oslot),
+		ohome:     c.ohome,
+		wmodel:    c.wmodel,
+
+		moves:          slices.Clone(c.moves),
+		blockedSubOps:  c.blockedSubOps,
+		movesCommitted: c.movesCommitted,
+		movedPages:     c.movedPages,
+		movedBytes:     c.movedBytes,
+		migrations:     c.migrations,
+		migStart:       c.migStart,
+		migEnd:         c.migEnd,
+	}
+	f.cfg.Scratch = nil
+	f.osds = make([]*OSD, len(c.osds))
+	for i, o := range c.osds {
+		ssd := o.SSD.Clone()
+		f.osds[i] = &OSD{
+			ID:         o.ID,
+			Group:      o.Group,
+			SSD:        ssd,
+			Store:      o.Store.Clone(ssd),
+			Tracker:    o.Tracker.Clone(),
+			busyUntil:  o.busyUntil,
+			load:       o.load.Clone(),
+			slowUntil:  o.slowUntil,
+			slowFactor: o.slowFactor,
+			subOps:     o.subOps,
+			busyTime:   o.busyTime,
+			busyAtMig:  o.busyAtMig,
+		}
+	}
+	f.adopt(s)
+	var resp []float64
+	if s != nil {
+		// A copy that continues: size the sample buffer for the whole
+		// run, as prepare does. Without scratch it holds just the
+		// samples so far, which suits a copy that is only forked.
+		if resp = f.respAll.Buffer(); cap(resp) < c.totalOps {
+			resp = make([]float64, 0, c.totalOps)
+		}
+	}
+	f.respAll = c.respAll.Clone(resp)
+	f.copyStreams(c)
+
+	index := make(map[*stream]int, len(c.streams))
+	for i := range c.streams {
+		index[&c.streams[i]] = i
+	}
+	streamOf := func(st *stream) *stream {
+		if i, ok := index[st]; ok {
+			return &f.streams[i]
+		}
+		return nil
+	}
+	eng, err := c.eng.Fork(func(a sim.Action) sim.Action {
+		switch a := a.(type) {
+		case *stream:
+			if st := streamOf(a); st != nil {
+				return st
+			}
+		case *opDone:
+			d := f.acquireDone()
+			d.issued, d.rec, d.parked, d.st = a.issued, a.rec, a.parked, nil
+			if a.st == nil {
+				return d
+			}
+			if d.st = streamOf(a.st); d.st != nil {
+				return d
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		if s != nil {
+			*s = *f.Release()
+		}
+		return nil, fmt.Errorf("cluster: %w: %w", err, ErrUnforkable)
+	}
+	f.eng = eng
+	return f, nil
+}
+
+// copyStreams gives f copies of c's stream cursors, their position
+// lists carved in order out of one buffer, as buildStreams carves them.
+func (f *Cluster) copyStreams(c *Cluster) {
+	pos := f.posBuf[:0]
+	for i := range c.streams {
+		pos = append(pos, c.streams[i].pos...)
+	}
+	streams := f.streams[:0]
+	off := 0
+	for i := range c.streams {
+		n := len(c.streams[i].pos)
+		streams = append(streams, stream{c: f, pos: pos[off : off+n : off+n], next: c.streams[i].next})
+		off += n
+	}
+	f.posBuf, f.streams = pos, streams
+}
+
+// RunPrefix replays a freshly built cluster's policy-independent prefix
+// and pauses at its end: the last point between events at which no
+// migration policy has acted, where every policy's run of one
+// configuration and trace holds the same state. Such a prefix exists
+// for a closed-loop run that migrates at the midpoint or never. The
+// midpoint shuffle fires in the event that completes operation ⌊n/2⌋ of
+// n, and every earlier event is a stream kick-off or a completion, so
+// the pause comes after streams + ⌊n/2⌋ − 1 events, with ⌊n/2⌋ − 1
+// operations complete (which RunPrefix checks). An open-loop run (whose
+// arrivals are events too), a periodic one (which consults its planner
+// from the first tick), a trace of fewer than two operations and a
+// cluster with events queued before its run (failure injection) are
+// refused with ErrUnforkable before anything runs. The checkpoint hook
+// stays disarmed, as in FastForward; continue with ContinueContext.
+func (c *Cluster) RunPrefix(ctx context.Context) error {
+	switch {
+	case c.cfg.OpenLoopRate > 0:
+		return unforkable("an open-loop run has no policy-independent prefix")
+	case c.cfg.Migration == MigratePeriodic:
+		return unforkable("periodic migration consults the planner from the first tick")
+	case len(c.tr.Records) < 2:
+		return unforkable("a trace of fewer than two operations has no prefix")
+	case c.eng.Pending() > 0:
+		return unforkable("events are queued before the run")
+	}
+	if err := c.prepare(ctx); err != nil {
+		return err
+	}
+	half := c.totalOps / 2
+	if err := c.replayTo(ctx, uint64(len(c.streams)+half-1)); err != nil {
+		return err
+	}
+	if c.completedOps != half-1 || c.migrations != 0 {
+		return fmt.Errorf("cluster: prefix paused with %d/%d operations complete and %d migration rounds, want %d and none",
+			c.completedOps, c.totalOps, c.migrations, half-1)
+	}
+	return nil
+}
+
+// Retarget installs the migration mode and planner a fork continues
+// under. The migration controller must not have acted yet: the cluster
+// is unstarted, or paused before its midpoint with no round run.
+// Periodic mode, on either side, is refused (its ticker would have had
+// to run from the start).
+func (c *Cluster) Retarget(mode MigrationMode, p migration.Planner) error {
+	switch {
+	case mode == MigratePeriodic || c.cfg.Migration == MigratePeriodic:
+		return fmt.Errorf("cluster: retarget to or from periodic migration")
+	case c.migrations > 0 || c.migrating:
+		return fmt.Errorf("cluster: retarget after a migration round")
+	case c.totalOps > 0 && c.completedOps >= c.totalOps/2:
+		return fmt.Errorf("cluster: retarget past the midpoint (%d/%d operations complete)", c.completedOps, c.totalOps)
+	}
+	c.cfg.Migration, c.planner, c.migrateAfter = mode, p, 0
+	if mode == MigrateMidpoint && c.totalOps > 0 {
+		c.migrateAfter = c.totalOps / 2
+	}
+	return nil
+}

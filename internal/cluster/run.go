@@ -181,7 +181,7 @@ func (c *Cluster) RunContext(ctx context.Context) (*Result, error) {
 	if err := c.prepare(ctx); err != nil {
 		return nil, err
 	}
-	c.eng.SetCheckpoint(c.cfg.CheckpointEvery, c.ckFn) // off unless both are set
+	c.eng.SetCheckpoint(c.cfg.CheckpointEvery, c.ckPoll, c.ckFn) // off unless both are set
 	if err := c.eng.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("cluster: run interrupted at %v (%d/%d ops): %w",
 			c.eng.Now(), c.completedOps, c.totalOps, err)
@@ -201,7 +201,13 @@ func (c *Cluster) FastForward(ctx context.Context, fired uint64) error {
 	if err := c.prepare(ctx); err != nil {
 		return err
 	}
-	c.eng.SetCheckpoint(0, nil)
+	return c.replayTo(ctx, fired)
+}
+
+// replayTo fires events, with the checkpoint hook disarmed, until
+// exactly fired events have fired since the start.
+func (c *Cluster) replayTo(ctx context.Context, fired uint64) error {
+	c.eng.SetCheckpoint(0, 0, nil)
 	if fired == 0 {
 		return nil
 	}
@@ -220,7 +226,7 @@ func (c *Cluster) ContinueContext(ctx context.Context) (*Result, error) {
 	if c.totalOps == 0 {
 		return nil, fmt.Errorf("cluster: ContinueContext without FastForward")
 	}
-	c.eng.SetCheckpoint(c.cfg.CheckpointEvery, c.ckFn) // off unless both are set
+	c.eng.SetCheckpoint(c.cfg.CheckpointEvery, c.ckPoll, c.ckFn) // off unless both are set
 	if err := c.eng.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("cluster: run interrupted at %v (%d/%d ops): %w",
 			c.eng.Now(), c.completedOps, c.totalOps, err)

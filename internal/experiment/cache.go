@@ -22,13 +22,15 @@ type traceKey struct {
 var (
 	traceMu    sync.Mutex
 	traceCache = map[traceKey]*trace.Trace{}
+	traceOrder []traceKey // traceCache's keys, oldest first
 )
 
-// traceCacheLimit bounds the memoized traces; an edmbench invocation
-// touches well under this many (name, scale, seed) combinations, so the
-// wipe-on-overflow policy exists only to keep pathological sweeps from
-// accumulating memory.
-const traceCacheLimit = 64
+// traceCacheLimit bounds the memoized traces, dropping the oldest
+// first. Every experiment at one scale and seed touches eight traces
+// (the seven Table I profiles and Fig. 3's random one), and a sweep
+// over seeds never returns to an earlier seed's traces, so holding more
+// only holds memory: a scale-20 trace set is tens of MB.
+const traceCacheLimit = 8
 
 // buildTrace materialises a named workload at the experiment scale and
 // seed, memoizing the result: the matrix replays one generated trace
@@ -46,13 +48,25 @@ func buildTrace(name string, opts Options) (*trace.Trace, error) {
 		return nil, err
 	}
 	traceMu.Lock()
-	if len(traceCache) >= traceCacheLimit {
-		traceCache = map[traceKey]*trace.Trace{}
+	if _, ok := traceCache[key]; !ok {
+		if len(traceOrder) == traceCacheLimit {
+			delete(traceCache, traceOrder[0])
+			traceOrder = traceOrder[1:]
+		}
+		traceCache[key] = tr
+		traceOrder = append(traceOrder, key)
 	}
-	traceCache[key] = tr
 	traceMu.Unlock()
 	return tr, nil
 }
+
+// prefixMemo shares the policy-independent first half of sibling runs
+// (edm.PrefixMemo): a cell's four policies replay one trace on one
+// cluster and diverge only at the midpoint shuffle, so the first of
+// them to reach the midpoint publishes a template there and the others
+// continue forks of it. The memo keys on the trace pointer, which is
+// why it sits next to the trace memo.
+var prefixMemo edm.PrefixMemo
 
 // scratchPool recycles per-run hot-path buffers (RAID access scratch,
 // completion records, histogram storage) across the worker pool, so a

@@ -24,9 +24,10 @@ func runLabel(exp string, spec edm.Spec) string {
 // run executes one simulation of an experiment through edm.Run. It
 // supplies what every run of the harness shares: the memoized trace,
 // the options' scale and seed, edm.WithCheck when Options.Check is set,
-// a telemetry sink whose files are named by label, and a pooled scratch
+// a telemetry sink whose files are named by label, a pooled scratch
 // that edm.Run refills with the run's grown buffers for the next run in
-// the sweep.
+// the sweep, and the prefix memo, through which sibling policies of one
+// cell share their first half when the run is eligible.
 func run(opts Options, label string, spec edm.Spec) (*edm.Result, error) {
 	ctx := opts.ctx()
 	if err := ctx.Err(); err != nil {
@@ -51,6 +52,7 @@ func run(opts Options, label string, spec edm.Spec) (*edm.Result, error) {
 	scr := scratchPool.Get().(*cluster.Scratch)
 	defer scratchPool.Put(scr)
 	spec.Cluster.Scratch = scr
+	runOpts = append(runOpts, edm.WithPrefixMemo(&prefixMemo))
 	res, err := edm.Run(ctx, spec, runOpts...)
 	if err == nil && sink != nil {
 		err = sink.Flush()

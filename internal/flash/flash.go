@@ -24,6 +24,7 @@ package flash
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"edm/internal/sim"
 )
@@ -282,6 +283,24 @@ func New(cfg Config) (*SSD, error) {
 		s.blocks[s.gcActive].state = blockActive
 	}
 	return s, nil
+}
+
+// Clone returns a deep copy of the device: mapping tables, block
+// metadata, free list, frontiers, GC buckets in order, and counters. s
+// is only read, the copy shares no memory with it, and the copy has no
+// probe.
+func (s *SSD) Clone() *SSD {
+	c := *s
+	c.l2p = slices.Clone(s.l2p)
+	c.p2l = slices.Clone(s.p2l)
+	c.blocks = slices.Clone(s.blocks)
+	c.free = append(make([]int32, 0, cap(s.free)), s.free...)
+	c.buckets = make([][]int32, len(s.buckets))
+	for i, b := range s.buckets {
+		c.buckets[i] = slices.Clone(b)
+	}
+	c.probe = nil
+	return &c
 }
 
 // MustNew is New for tests and examples with known-good configs.

@@ -38,6 +38,12 @@ func (e *EWMA) Observe(x float64) {
 	e.value = e.alpha*x + (1-e.alpha)*e.value
 }
 
+// Clone returns a copy of the average.
+func (e *EWMA) Clone() *EWMA {
+	c := *e
+	return &c
+}
+
 // Value returns the current average (0 before any observation).
 func (e *EWMA) Value() float64 { return e.value }
 
@@ -164,6 +170,14 @@ func (h *Histogram) Buffer() []float64 { return h.xs }
 // capture-order-stable view must read before querying quantiles.
 func (h *Histogram) Samples() []float64 { return h.xs }
 
+// Clone returns a copy of h whose samples, in h's current order, live
+// in buf's backing storage (buf may be nil; it grows when too small).
+// h is only read, so the copy shares no memory with it as long as buf
+// does not.
+func (h *Histogram) Clone(buf []float64) *Histogram {
+	return &Histogram{xs: append(buf[:0], h.xs...), sum: h.sum}
+}
+
 // Count returns the number of samples.
 func (h *Histogram) Count() int { return len(h.xs) }
 
@@ -263,6 +277,17 @@ func NewTimeSeries(width float64) *TimeSeries {
 		panic("metrics: non-positive TimeSeries width")
 	}
 	return &TimeSeries{width: width, buckets: make(map[int64]*Running)}
+}
+
+// Clone returns a deep copy of the series. ts is only read, and the copy
+// shares no memory with it.
+func (ts *TimeSeries) Clone() *TimeSeries {
+	c := &TimeSeries{width: ts.width, buckets: make(map[int64]*Running, len(ts.buckets))}
+	for k, r := range ts.buckets {
+		cr := *r
+		c.buckets[k] = &cr
+	}
+	return c
 }
 
 // Observe records value at time t.

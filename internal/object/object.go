@@ -15,6 +15,8 @@ package object
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"edm/internal/flash"
@@ -83,6 +85,37 @@ func NewStore(ssd *flash.SSD) *Store {
 		byID:     make(map[ID]Index),
 		free:     []extent{{start: 0, pages: ssd.MaxLivePages()}},
 	}
+}
+
+// Clone returns a deep copy of the store bound to ssd, which must be a
+// copy of st's device (flash.SSD.Clone). st is only read: the id-sorted
+// cache is copied when it is valid and otherwise left for the copy to
+// fill, and the copy shares no memory with st.
+func (st *Store) Clone(ssd *flash.SSD) *Store {
+	c := &Store{
+		ssd:       ssd,
+		pageSize:  st.pageSize,
+		ids:       slices.Clone(st.ids),
+		sizes:     slices.Clone(st.sizes),
+		npages:    slices.Clone(st.npages),
+		ext0:      slices.Clone(st.ext0),
+		spill:     make([][]extent, len(st.spill)),
+		inUse:     slices.Clone(st.inUse),
+		byID:      maps.Clone(st.byID),
+		freeSlots: slices.Clone(st.freeSlots),
+		live:      st.live,
+		free:      slices.Clone(st.free),
+		usedPgs:   st.usedPgs,
+	}
+	for i, sp := range st.spill {
+		if len(sp) > 0 {
+			c.spill[i] = slices.Clone(sp)
+		}
+	}
+	if st.sortedOK {
+		c.sorted, c.sortedOK = slices.Clone(st.sorted), true
+	}
+	return c
 }
 
 // SSD returns the underlying device.

@@ -13,6 +13,8 @@
 package remap
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"edm/internal/object"
@@ -43,6 +45,15 @@ type Table struct {
 // New returns an empty table.
 func New() *Table {
 	return &Table{overflow: make(map[object.ID]int32)}
+}
+
+// Clone returns a deep copy of the table, counters included. t is only
+// read, and the copy shares no memory with it.
+func (t *Table) Clone() *Table {
+	c := *t
+	c.dense = slices.Clone(t.dense)
+	c.overflow = maps.Clone(t.overflow)
+	return &c
 }
 
 // Reserve pre-sizes the dense array for ids in [0, n), avoiding growth

@@ -227,29 +227,51 @@ func TestStateDirRecovery(t *testing.T) {
 	})
 
 	t.Run("unusable requests", func(t *testing.T) {
+		// Each bad request has a valid checkpoint beside it, which must
+		// go with it: recovery finds jobs by their requests only.
 		dir := t.TempDir()
 		garbled := filepath.Join(dir, "run-7.req")
 		invalid := filepath.Join(dir, "run-8.req")
-		if err := os.WriteFile(garbled, []byte("{not json"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(invalid, []byte(`{"workload":"home99"}`), 0o644); err != nil {
-			t.Fatal(err)
+		garbledCk := filepath.Join(dir, "run-7.ckpt")
+		invalidCk := filepath.Join(dir, "run-8.ckpt")
+		frame := validFrame(t)
+		for name, data := range map[string][]byte{
+			garbled: []byte("{not json"), invalid: []byte(`{"workload":"home99"}`),
+			garbledCk: frame, invalidCk: frame,
+		} {
+			if err := os.WriteFile(name, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		logged := captureLog(t)
 		s, ts, _ := startLife(dir)
 		defer ts.Close()
 		defer s.Shutdown(context.Background())
-		requireDropped(t, logged, garbled, invalid)
+		requireDropped(t, logged, garbled, garbledCk, invalid, invalidCk)
 		if n := s.Recovered(); n != 0 {
 			t.Fatalf("recovered %d jobs from unusable requests", n)
 		}
-		for _, name := range []string{garbled, invalid} {
+		for _, name := range []string{garbled, invalid, garbledCk, invalidCk} {
 			if _, err := os.Stat(name); !os.IsNotExist(err) {
 				t.Errorf("%s still on disk (%v)", name, err)
 			}
 		}
 	})
+}
+
+// validFrame returns one checkpoint frame of a small run, which
+// snapshot.ReadLast accepts.
+func validFrame(t *testing.T) []byte {
+	t.Helper()
+	var frames bytes.Buffer
+	spec := edm.Spec{Workload: "home02", Scale: 1000, OSDs: 8, Seed: 1}
+	if _, err := edm.Run(context.Background(), spec, edm.WithCheckpoint(&frames, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.ReadLast(bytes.NewReader(frames.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	return frames.Bytes()
 }
 
 // captureLog sends the standard logger's output to a buffer until the

@@ -202,7 +202,8 @@ func New(cfg Config) *Server {
 // before the worker pool starts, so recovered jobs keep submission
 // order. Recovery is capped at the queue capacity; any surplus stays on
 // disk for the next restart. A file it cannot use is removed, with one
-// log line naming it and the reason.
+// log line naming it and the reason; an unusable request takes its
+// job's checkpoint file with it.
 func (s *Server) recoverState() {
 	if s.cfg.StateDir == "" {
 		return
@@ -219,12 +220,17 @@ func (s *Server) recoverState() {
 		if err != nil {
 			continue
 		}
+		ckPath := filepath.Join(s.cfg.StateDir, id+".ckpt")
 		var req RunRequest
 		if err := json.Unmarshal(raw, &req); err != nil {
-			dropState(name, "undecodable request", err) // kept, it would wedge every restart
+			dropRequest(name, ckPath, "undecodable request", err) // kept, it would wedge every restart
 			continue
 		}
-		ckPath := filepath.Join(s.cfg.StateDir, id+".ckpt")
+		spec, err := req.Spec()
+		if err != nil {
+			dropRequest(name, ckPath, "spec no longer validates", err)
+			continue
+		}
 		if ck, err := os.ReadFile(ckPath); err == nil {
 			if _, err := snapshot.ReadLast(bytes.NewReader(ck)); err == nil {
 				req.Resume = ck
@@ -237,11 +243,6 @@ func (s *Server) recoverState() {
 				// restart would begin from event 0 again.
 				dropState(ckPath, "no readable first frame, the job restarts from event 0", err)
 			}
-		}
-		spec, err := req.Spec()
-		if err != nil {
-			dropState(name, "spec no longer validates", err)
-			continue
 		}
 		class, err := req.class()
 		if err != nil {
@@ -270,6 +271,17 @@ func (s *Server) recoverState() {
 func dropState(path, reason string, err error) {
 	log.Printf("edmd: recovery dropped %s: %s: %v", path, reason, err)
 	_ = os.Remove(path)
+}
+
+// dropRequest removes a request file recovery cannot use, and the
+// job's checkpoint file with it when there is one: recovery finds jobs
+// by their request files, so the checkpoint would otherwise stay on
+// disk for good.
+func dropRequest(reqPath, ckPath, reason string, err error) {
+	dropState(reqPath, reason, err)
+	if _, statErr := os.Stat(ckPath); statErr == nil {
+		dropState(ckPath, "its request was dropped", fmt.Errorf("%s: %s", filepath.Base(reqPath), reason))
+	}
 }
 
 // Recovered reports how many interrupted jobs New re-admitted from

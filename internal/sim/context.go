@@ -50,11 +50,14 @@ func (e *Engine) RunContextFired(ctx context.Context, target uint64) error {
 // The sampler and checkpoint hooks, when armed, run between events.
 func (e *Engine) runLoop(ctx context.Context, target uint64) error {
 	done := ctx.Done()
-	hooked := e.ckEvery != 0
-	if done == nil && !hooked && e.smp == nil && target == 0 {
+	ck := e.ck
+	if done == nil && ck == nil && e.smp == nil && target == 0 {
 		for e.Step() {
 		}
 		return nil
+	}
+	if ck != nil {
+		ck.left = ck.gap(e.fired) // events may have fired outside a hooked loop
 	}
 	for {
 		if done != nil {
@@ -77,8 +80,12 @@ func (e *Engine) runLoop(ctx context.Context, target uint64) error {
 				}
 				return nil
 			}
-			if hooked && e.fired%e.ckEvery == 0 {
-				if err := e.ckFn(e.now); err != nil {
+			if ck != nil {
+				if ck.left--; ck.left != 0 {
+					continue
+				}
+				ck.left = ck.gap(e.fired)
+				if err := ck.fn(e.now); err != nil {
 					return fmt.Errorf("sim: checkpoint hook at %v (event %d): %w", e.now, e.fired, err)
 				}
 			}

@@ -16,8 +16,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -115,15 +117,28 @@ type Engine struct {
 	fired   uint64
 	running bool
 
-	// Checkpoint hook (SetCheckpoint): fn runs between events after
-	// every ckEvery fired events. Zero/nil disables it, and the
-	// no-hook run loops stay branch-free.
-	ckEvery uint64
-	ckFn    func(now Time) error
-
-	// Sampler hook (SetSampler), nil when off; a pointer, so an engine
-	// without one keeps its allocation size class.
+	// Checkpoint and sampler hooks (SetCheckpoint, SetSampler), nil when
+	// off, so the no-hook run loops stay branch-free; pointers, so an
+	// engine keeps its allocation size class.
+	ck  *checkpoint
 	smp *sampler
+}
+
+// checkpoint is an armed SetCheckpoint hook: fn runs whenever the fired
+// count reaches a multiple of every or of poll, and left counts the
+// events still to fire before the next such position.
+type checkpoint struct {
+	every, poll, left uint64
+	fn                func(now Time) error
+}
+
+// gap is the number of events from fired to the hook's next position.
+func (c *checkpoint) gap(fired uint64) uint64 {
+	g := c.every - fired%c.every
+	if c.poll != 0 {
+		g = min(g, c.poll-fired%c.poll)
+	}
+	return g
 }
 
 // sampler is an armed SetSampler hook: fn(next) is the next to run.
@@ -179,17 +194,58 @@ func (e *Engine) AppendQueue(dst []QueueEntry) []QueueEntry {
 	return dst
 }
 
-// SetCheckpoint installs fn to run between events, after every `every`
-// fired events (i.e. whenever fired%every == 0). The hook is honoured
-// by RunContext and RunContextFired; a hook error stops the run and is
-// returned wrapped. every == 0 or fn == nil removes the hook. The hook
-// must not mutate simulation state — it exists for state capture.
-func (e *Engine) SetCheckpoint(every uint64, fn func(now Time) error) {
-	if every == 0 || fn == nil {
-		e.ckEvery, e.ckFn = 0, nil
-		return
+// Fork returns a copy of an engine paused between events: the same
+// clock, fired count, sequence counter and queue, slot for slot, with
+// every pending action replaced by remap(action), so the copy fires the
+// same events in the same order against the caller's copies of the
+// actions' state. The original is only read. Fork refuses an engine
+// that is running, has a checkpoint or sampler hook armed (observers of
+// the original are not the copy's), or holds a pending closure, which
+// cannot be re-bound; it also fails if remap returns nil. Handles
+// issued by the original do not refer to the copy.
+func (e *Engine) Fork(remap func(Action) Action) (*Engine, error) {
+	switch {
+	case e.running:
+		return nil, errors.New("sim: fork of a running engine")
+	case e.ck != nil || e.smp != nil:
+		return nil, errors.New("sim: fork of an engine with a hook armed")
 	}
-	e.ckEvery, e.ckFn = every, fn
+	f := &Engine{
+		now:   e.now,
+		slots: slices.Clone(e.slots),
+		heap:  slices.Clone(e.heap),
+		free:  slices.Clone(e.free),
+		seq:   e.seq,
+		fired: e.fired,
+	}
+	for _, id := range f.heap {
+		s := &f.slots[id]
+		if s.fn != nil {
+			return nil, fmt.Errorf("sim: pending event at %v (seq %d) is a closure, which a fork cannot re-bind", s.at, s.seq)
+		}
+		act := remap(s.act)
+		if act == nil {
+			return nil, fmt.Errorf("sim: pending %T at %v (seq %d) has no copy", s.act, s.at, s.seq)
+		}
+		s.act = act
+	}
+	return f, nil
+}
+
+// SetCheckpoint installs fn to run between events whenever the fired
+// count reaches a multiple of every, and also of poll when poll is
+// non-zero (a demand trigger's poll interval, which needs no common
+// divisor with every). The run loop counts down to the next such
+// position, so a hooked event costs a decrement, whatever the two
+// intervals. The hook is honoured by RunContext and RunContextFired; a
+// hook error stops the run and is returned wrapped. every == 0 or
+// fn == nil removes the hook. The hook must not mutate simulation state
+// — it exists for state capture.
+func (e *Engine) SetCheckpoint(every, poll uint64, fn func(now Time) error) {
+	e.ck = nil
+	if every != 0 && fn != nil {
+		e.ck = &checkpoint{every: every, poll: poll, fn: fn}
+	}
 }
 
 // SetSampler installs fn to run between events, once for each instant

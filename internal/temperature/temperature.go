@@ -30,6 +30,7 @@ package temperature
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"edm/internal/sim"
 )
@@ -73,6 +74,25 @@ func New(interval sim.Time) *Tracker {
 		panic(fmt.Sprintf("temperature: non-positive interval %v", interval))
 	}
 	return &Tracker{interval: interval}
+}
+
+// Clone returns a deep copy of the tracker. t is only read (no row is
+// brought forward), and the copy shares no memory with it.
+func (t *Tracker) Clone() *Tracker {
+	return &Tracker{
+		interval: t.interval,
+		ids:      slices.Clone(t.ids),
+		used:     slices.Clone(t.used),
+		epoch:    slices.Clone(t.epoch),
+		wTemp:    slices.Clone(t.wTemp),
+		tTemp:    slices.Clone(t.tTemp),
+		wAcc:     slices.Clone(t.wAcc),
+		tAcc:     slices.Clone(t.tAcc),
+		winW:     slices.Clone(t.winW),
+		cumW:     slices.Clone(t.cumW),
+		cumR:     slices.Clone(t.cumR),
+		live:     t.live,
+	}
 }
 
 // Len returns the number of tracked objects.

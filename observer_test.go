@@ -255,33 +255,56 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // that demand polling never shifts the cadence frames: with a trigger
 // installed, every cadence frame lands on the same event as without
 // one, whether or not the cadence is a multiple of the poll interval.
+// Polling costs a hook call only at the poll and cadence positions, so
+// a run of n events calls the hook at most n/4096 + n/cadence + 2 times,
+// even for a cadence with no factor of two in common with 4096.
 func TestCheckpointTriggerKeepsCadence(t *testing.T) {
 	ctx := context.Background()
-	spec := quickSpec(PolicyHDF)
-	spec.Scale = 200
-	for _, every := range []uint64{10_000, 4_096, 6_000} {
-		fired := func(opts ...RunOption) []uint64 {
+	for _, tc := range []struct {
+		every uint64
+		scale int
+	}{{10_000, 200}, {4_096, 200}, {6_000, 200}, {100_003, 30}} {
+		spec := quickSpec(PolicyHDF)
+		spec.Scale = tc.scale
+		every := tc.every
+		// run reports the events its frames landed on, how often the
+		// checkpoint hook ran, and how many events the run fired.
+		run := func(opts ...RunOption) (frames []uint64, calls, events uint64) {
 			var log frameLog
-			if _, err := Run(ctx, spec, append(opts, WithCheckpoint(&log, every))...); err != nil {
+			var o runOptions
+			for _, fn := range append(opts, WithCheckpoint(&log, every)) {
+				fn(&o)
+			}
+			env, err := setup(ctx, spec, &o)
+			if err != nil {
 				t.Fatal(err)
 			}
-			var out []uint64
+			env.cl.SetCheckpoint(func(now sim.Time) error { calls++; return env.hook(now) })
+			if _, err := env.run(ctx); err != nil {
+				t.Fatal(err)
+			}
 			for _, f := range log {
 				snap, err := snapshot.Decode(f)
 				if err != nil {
 					t.Fatal(err)
 				}
-				out = append(out, snap.Fired)
+				frames = append(frames, snap.Fired)
 			}
-			return out
+			return frames, calls, env.cl.Engine().Fired()
 		}
-		plain := fired()
-		triggered := fired(WithCheckpointTrigger(&CheckpointTrigger{}))
+		plain, plainCalls, n := run()
+		triggered, calls, _ := run(WithCheckpointTrigger(&CheckpointTrigger{}))
 		if len(plain) < 2 {
 			t.Fatalf("every %d: %d frames, want at least 2", every, len(plain))
 		}
 		if fmt.Sprint(triggered) != fmt.Sprint(plain) {
 			t.Errorf("every %d: cadence frames at events %v with a trigger, %v without", every, triggered, plain)
+		}
+		if max := n / every; plainCalls != max {
+			t.Errorf("every %d: %d hook calls without a trigger over %d events, want %d", every, plainCalls, n, max)
+		}
+		if max := n/demandPollInterval + n/every + 2; calls > max {
+			t.Errorf("every %d: %d hook calls with a trigger over %d events, want at most %d", every, calls, n, max)
 		}
 	}
 }

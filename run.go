@@ -25,6 +25,8 @@ const DefaultCheckpointEvery = 100_000
 // demandPollInterval bounds how many fired events pass between polls of
 // a CheckpointTrigger: fine enough that a demand checkpoint lands within
 // microseconds of wall time, coarse enough to stay off the hot path.
+// The trigger is polled whenever the fired count reaches a multiple of
+// it or of the frame cadence.
 const demandPollInterval = 4096
 
 // RunOption customises a Run or Resume beyond what Spec captures: the
@@ -40,6 +42,7 @@ type runOptions struct {
 	metrics     *telemetry.Registry
 	sampleEvery sim.Time
 	check       bool
+	memo        *PrefixMemo
 }
 
 // WithCheckpoint makes the run write digest-sealed snapshot frames to w
@@ -55,11 +58,11 @@ func WithCheckpoint(w io.Writer, every uint64) RunOption {
 
 // CheckpointTrigger requests out-of-band checkpoints of a running
 // simulation from another goroutine. Request is safe for concurrent
-// use; the run polls the trigger between simulation events, at a
-// cadence that divides both the frame cadence and demandPollInterval,
-// and writes one extra frame per request. Demand frames do not perturb
-// the run or shift the cadence frames — capture is read-only and
-// cadence positions are absolute.
+// use; the run polls the trigger between simulation events, whenever
+// the fired count reaches a multiple of demandPollInterval or of the
+// frame cadence, and writes one extra frame per request. Demand frames
+// do not perturb the run or shift the cadence frames — capture is
+// read-only and cadence positions are absolute.
 type CheckpointTrigger struct{ flag atomic.Bool }
 
 // Request asks the run to write a checkpoint at the next poll point.
@@ -102,15 +105,23 @@ func WithCheck() RunOption {
 }
 
 // runEnv is a wired, ready-to-run cluster plus the pieces that need
-// post-run work: the option-driven checker and a donated scratch.
+// post-run work: the option-driven checker and a donated scratch. A
+// run sharing its prefix (PrefixMemo) either holds a fork already
+// paused at the boundary (forked) or publishes one under key.
 type runEnv struct {
 	cl      *cluster.Cluster
 	ck      *check.Checker
 	scratch *cluster.Scratch
+	hook    func(sim.Time) error // the checkpoint hook, nil without a writer
+
+	memo   *PrefixMemo
+	key    prefixKey
+	forked bool
 }
 
 // setup builds the trace and the cluster and applies every option:
-// the shared first half of Run and Resume.
+// the shared first half of Run and Resume. A run sharing its prefix
+// instead forks a matching template when the memo holds one.
 func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -125,12 +136,23 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	env := &runEnv{scratch: spec.Cluster.Scratch}
+	if cfg, err := spec.clusterConfig(); err == nil {
+		if key, ok := o.prefixKey(spec, cfg); ok {
+			if tmpl := o.memo.lookup(key); tmpl != nil {
+				if env.cl, err = tmpl.fork(spec, env.scratch); err != nil {
+					return nil, fmt.Errorf("edm: forking a shared prefix: %w", err)
+				}
+				env.forked = true
+				return env, nil
+			}
+			env.memo, env.key = o.memo, key
+		}
+	}
 	// A frame embeds the replay coordinates: the spec with its trace
 	// extracted and the frame cadence set (nothing an observer or a
 	// trigger set), and an explicit trace's bytes; a generated trace
-	// needs none, the generator being deterministic in the spec. The
-	// hook polls at a divisor of the frame cadence, finer when a demand
-	// trigger needs sub-cadence responsiveness.
+	// needs none, the generator being deterministic in the spec.
 	var every uint64
 	var specJSON, traceData []byte
 	if o.ckW != nil {
@@ -148,9 +170,6 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 			}
 			traceData = b.Bytes()
 		}
-		if o.trigger != nil {
-			spec.Cluster.CheckpointEvery = gcd(every, demandPollInterval)
-		}
 	}
 	spec.Trace = tr
 
@@ -158,6 +177,7 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 	if err != nil {
 		return nil, err
 	}
+	env.cl = cl
 	rec := o.rec
 	var ck *check.Checker
 	if o.check {
@@ -171,22 +191,36 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 	}
 	if o.ckW != nil {
 		w, trigger := o.ckW, o.trigger
-		cl.SetCheckpoint(func(sim.Time) error {
+		env.hook = func(sim.Time) error {
 			demanded := trigger != nil && trigger.take()
 			if cl.Engine().Fired()%every != 0 && !demanded {
 				return nil
 			}
 			return snapshot.Capture(cl, specJSON, traceData).EncodeTo(w)
-		})
+		}
+		cl.SetCheckpoint(env.hook)
+		if trigger != nil {
+			cl.SetCheckpointPoll(demandPollInterval)
+		}
 	}
-	return &runEnv{cl: cl, ck: ck, scratch: spec.Cluster.Scratch}, nil
+	env.ck = ck
+	return env, nil
 }
 
-func gcd(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
+// run replays the cluster to completion: from the fork's pause, or
+// from the start, stopping at the prefix boundary to publish a template
+// when the run shares its prefix.
+func (e *runEnv) run(ctx context.Context) (*Result, error) {
+	if e.forked {
+		return e.cl.ContinueContext(ctx)
 	}
-	return a
+	if e.memo == nil {
+		return e.cl.RunContext(ctx)
+	}
+	if err := e.memo.runPrefix(ctx, e.cl, e.key); err != nil {
+		return nil, fmt.Errorf("edm: sharing the prefix: %w", err)
+	}
+	return e.cl.ContinueContext(ctx)
 }
 
 // finish is the post-run half of Run and Resume: the WithCheck audit,
@@ -225,7 +259,7 @@ func Run(ctx context.Context, spec Spec, opts ...RunOption) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := env.cl.RunContext(ctx)
+	res, err := env.run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -259,6 +293,7 @@ func Resume(ctx context.Context, r io.Reader, opts ...RunOption) (*Result, error
 	for _, fn := range opts {
 		fn(&o)
 	}
+	o.memo = nil // the replay is what verifies the frame
 	var spec Spec
 	if err := json.Unmarshal(snap.SpecJSON, &spec); err != nil {
 		return nil, fmt.Errorf("edm: decoding checkpoint spec: %w", err)
