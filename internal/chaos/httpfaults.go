@@ -116,15 +116,3 @@ func (s *HTTPScript) verdict(path string) (drop bool, delay time.Duration) {
 	}
 	return drop, delay
 }
-
-// Exchanges reports how many exchanges each fault has seen so far
-// (indexed like the plan's dispatch faults) — test observability.
-func (s *HTTPScript) Exchanges() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int, len(s.faults))
-	for i := range s.faults {
-		out[i] = s.faults[i].seen
-	}
-	return out
-}

@@ -22,7 +22,9 @@ import (
 // OSD is one object storage device: an SSD, its object store, the
 // access tracker, and a serial service queue modelled by a busy-until
 // horizon (requests are admitted in event order, which in a closed-loop
-// replay equals virtual-time order).
+// replay equals virtual-time order). Fork copies an OSD by value and
+// then clones its SSD, store and tracker, so every other field must be
+// a plain value.
 type OSD struct {
 	ID      int
 	Group   int
@@ -31,7 +33,7 @@ type OSD struct {
 	Tracker *temperature.Tracker
 
 	busyUntil sim.Time
-	load      *metrics.EWMA
+	load      metrics.EWMA
 
 	// Transient latency degradation (SlowOSD): while now < slowUntil,
 	// device service takes slowFactor times its normal latency.
@@ -58,28 +60,51 @@ func (o *OSD) scaledLat(lat, now sim.Time) sim.Time {
 // CMT's load metric.
 func (o *OSD) LoadFactor() float64 { return o.load.Value() }
 
-// Cluster is the simulated storage system.
+// Cluster is the simulated storage system. Its state comes in five
+// parts, and a tier-1 test fails on a field that belongs to none:
+//
+//   - counters: the run's scalars, copied by assignment and sealed as
+//     one section;
+//   - build: fixed by New and shared read-only by forks;
+//   - the run's references (engine, devices, tables, maps, samples),
+//     each deep-copied by Fork;
+//   - observers and attachments (planner, recorder, metrics, hooks),
+//     which a fork starts without;
+//   - scratch: reusable buffers, recycled across runs.
 type Cluster struct {
-	cfg    Config
+	counters
+	build
+
 	eng    *sim.Engine
-	layout placement.Layout
-	geom   raid.Geometry
 	osds   []*OSD
 	remap  *remap.Table
 	stream *rng.Stream
 
-	tr *trace.Trace
+	// Dense object metadata that moves change: the OSD holding each
+	// object and its store (== tracker) slot there, by dense index.
+	owner []int32
+	oslot []object.Index
+
+	moves  []migration.Move
+	failed map[int]bool // failure injection (RAID-5 degraded mode)
+
+	// HDF blocking (§V.D): requests whose target object is locked by an
+	// in-flight move park on a wait list until the move commits.
+	locked  map[object.ID]bool
+	waiters map[object.ID][]pendingOp
+
+	respSeries *metrics.TimeSeries
+	respAll    *metrics.Histogram
+	respMigr   *metrics.Histogram // ops served while migration in flight
 
 	planner    migration.Planner
-	migrating  bool
 	wearTicker *sim.Ticker
 
-	// Checkpoint hook (SetCheckpoint) and queue-capture scratch. The
-	// hook is armed on the engine only while the run is live — never
-	// during a FastForward replay, which must not rewrite checkpoints.
-	ckFn     func(now sim.Time) error
-	ckPoll   uint64
-	queueBuf []sim.QueueEntry
+	// Checkpoint hook (SetCheckpoint). The hook is armed on the engine
+	// only while the run is live — never during a FastForward replay,
+	// which must not rewrite checkpoints.
+	ckFn   func(now sim.Time) error
+	ckPoll uint64
 
 	// Telemetry (nil/zero when disabled — the hot paths nil-check),
 	// attached by SetRecorder and SetMetrics.
@@ -88,13 +113,30 @@ type Cluster struct {
 	parked   *telemetry.Counter
 	respHist *telemetry.Histogram
 
-	// HDF blocking (§V.D): requests whose target object is locked by an
-	// in-flight move park on a wait list until the move commits.
-	locked  map[object.ID]bool
-	waiters map[object.ID][]pendingOp
+	scratch
+}
+
+// counters holds every scalar of a run. The per-operation ones come
+// first, so the replay loop touches one cache line of them.
+type counters struct {
+	completedOps int
+	totalOps     int
+	migrateAfter int // completed-op count that triggers the midpoint shuffle
+	migrating    bool
+	rejected     uint64
+	// blockedSubOps counts file operations that parked on an HDF lock.
+	blockedSubOps uint64
+
+	migrations int
+	// movesCommitted counts migration moves that actually committed
+	// (planned moves may be skipped or aborted); together with rebuilt
+	// it must equal the remap table's Record count — an Audit invariant.
+	movesCommitted   uint64
+	movedPages       int64
+	movedBytes       int64
+	migStart, migEnd sim.Time
 
 	// Failure injection (RAID-5 degraded mode) and declustered rebuild.
-	failed        map[int]bool
 	failedAt      sim.Time
 	degradedOps   uint64
 	lostOps       uint64
@@ -103,15 +145,16 @@ type Cluster struct {
 	unrebuildable int
 	rebuildStart  sim.Time
 	rebuildEnd    sim.Time
+}
 
-	// Run bookkeeping.
-	totalOps     int
-	completedOps int
-	migrateAfter int // completed-op count that triggers the midpoint shuffle
-	respSeries   *metrics.TimeSeries
-	respAll      *metrics.Histogram
-	respMigr     *metrics.Histogram // ops served while migration in flight
-	rejected     uint64
+// build is what New derives from the configuration and the trace, and
+// never changes afterwards (Retarget alone rewrites a fork's own copy of
+// the migration mode).
+type build struct {
+	cfg    Config
+	layout placement.Layout
+	geom   raid.Geometry
+	tr     *trace.Trace
 
 	// Dense object metadata tables: every traced object gets a stable
 	// index oi = rank(file)·k + objInFile, where ranks number the trace's
@@ -123,39 +166,8 @@ type Cluster struct {
 	fileRanks []int32                // dense file id → rank; -1 for gaps
 	rankByID  map[trace.FileID]int32 // fallback for sparse/huge file ids
 	oids      []object.ID
-	owner     []int32        // OSD currently holding the object
-	oslot     []object.Index // store (== tracker) slot on the owner
-	ohome     []int32        // cached hash-placement home
+	ohome     []int32 // cached hash-placement home
 	wmodel    wear.Model
-
-	// Hot-path scratch, reused across operations so the replay loop is
-	// allocation-free in steady state (and recycled across runs through
-	// Config.Scratch).
-	accsBuf  []raid.Access
-	groupBuf []raid.Access
-	donePool []*opDone
-
-	// Run and snapshot scratch (recycled through Config.Scratch too).
-	streams    []stream
-	posBuf     []int32
-	userCnt    []int32
-	userLookup []int32
-	arrivals   []arrival
-	snapDevs   []migration.DeviceState
-	snapObjs   []migration.ObjectInfo
-	planSnap   migration.Snapshot
-
-	moves         []migration.Move
-	blockedSubOps uint64
-	// movesCommitted counts migration moves that actually committed
-	// (planned moves may be skipped or aborted); together with rebuilt
-	// it must equal the remap table's Record count — an Audit invariant.
-	movesCommitted uint64
-	movedPages     int64
-	movedBytes     int64
-	migrations     int
-
-	migStart, migEnd sim.Time
 }
 
 // New builds a cluster sized for the given trace: every SSD gets the
@@ -184,13 +196,10 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		cfg:        cfg,
+		build:      build{cfg: cfg, layout: layout, geom: geom, tr: tr},
 		eng:        sim.New(),
-		layout:     layout,
-		geom:       geom,
 		remap:      remap.New(),
 		stream:     rng.New(cfg.Seed ^ 0xedc0ffee),
-		tr:         tr,
 		locked:     make(map[object.ID]bool),
 		waiters:    make(map[object.ID][]pendingOp),
 		failed:     make(map[int]bool),
@@ -297,9 +306,6 @@ func (c *Cluster) OSD(i int) *OSD { return c.osds[i] }
 
 // OSDs returns the device count.
 func (c *Cluster) OSDs() int { return len(c.osds) }
-
-// Remap returns the remapping table.
-func (c *Cluster) Remap() *remap.Table { return c.remap }
 
 // SetPlanner installs the migration policy (nil for the baseline).
 func (c *Cluster) SetPlanner(p migration.Planner) { c.planner = p }
@@ -467,7 +473,7 @@ func (c *Cluster) buildDevices() error {
 			SSD:     ssd,
 			Store:   object.NewStore(ssd),
 			Tracker: temperature.New(c.cfg.TemperatureInterval),
-			load:    metrics.NewEWMA(loadEWMAAlpha),
+			load:    *metrics.NewEWMA(loadEWMAAlpha),
 		}
 	}
 	return nil

@@ -165,8 +165,8 @@ func TestMigrationPreservesObjectsAndData(t *testing.T) {
 		t.Fatalf("object count changed across migration: %d -> %d", before, after)
 	}
 	// Every remapped object must live exactly where the table says.
-	for _, id := range cl.Remap().Entries() {
-		osd := cl.Remap().Lookup(id, cl.objectHome(id))
+	for _, id := range cl.remap.Entries() {
+		osd := cl.remap.Lookup(id, cl.objectHome(id))
 		if _, ok := cl.OSD(osd).Store.Lookup(id); !ok {
 			t.Fatalf("remapped object %d not on OSD %d", id, osd)
 		}
@@ -342,7 +342,7 @@ func TestHDFLockParksAndResumesRequests(t *testing.T) {
 	}
 	file := tr.Files[0].ID
 	// Lock the file's first data object for a write at offset 0.
-	accs := cl.geom.WriteAccesses(0, 4096)
+	accs := cl.geom.AppendWriteAccesses(nil, 0, 4096)
 	lockedID := cl.objectID(file, accs[0].Obj)
 	cl.locked[lockedID] = true
 

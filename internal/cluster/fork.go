@@ -29,9 +29,9 @@ func unforkable(reason string) error {
 // with ContinueContext, the copy replays exactly what the original
 // would from there. The original is only read — any number of forks of
 // one cluster may be taken concurrently, provided nothing runs it — and
-// the copy shares no mutable memory with it; the trace and the
-// placement tables fixed at build time are shared read-only. A non-nil
-// s donates the copy's buffers, as Config.Scratch does for New.
+// the copy shares no mutable memory with it; the build part (trace,
+// fixed placement tables) is shared read-only. A non-nil s donates
+// the copy's buffers, as Config.Scratch does for New.
 //
 // The copy has no planner (planners keep scratch of their own: install
 // one with SetPlanner or Retarget), and none of the original's
@@ -56,69 +56,28 @@ func (c *Cluster) Fork(s *Scratch) (*Cluster, error) {
 		return nil, unforkable("the warm-up stream has been drawn from")
 	}
 	f := &Cluster{
-		cfg:    c.cfg,
-		layout: c.layout,
-		geom:   c.geom,
-		remap:  c.remap.Clone(),
-		stream: rng.New(seed),
-		tr:     c.tr,
-
-		locked:        make(map[object.ID]bool),
-		waiters:       make(map[object.ID][]pendingOp),
-		failed:        maps.Clone(c.failed),
-		failedAt:      c.failedAt,
-		degradedOps:   c.degradedOps,
-		lostOps:       c.lostOps,
-		rebuilt:       c.rebuilt,
-		rebuiltBytes:  c.rebuiltBytes,
-		unrebuildable: c.unrebuildable,
-		rebuildStart:  c.rebuildStart,
-		rebuildEnd:    c.rebuildEnd,
-
-		totalOps:     c.totalOps,
-		completedOps: c.completedOps,
-		migrateAfter: c.migrateAfter,
-		respSeries:   c.respSeries.Clone(),
-		respAll:      &metrics.Histogram{},
-		respMigr:     c.respMigr.Clone(nil),
-		rejected:     c.rejected,
-
-		k:         c.k,
-		fileRanks: c.fileRanks,
-		rankByID:  c.rankByID,
-		oids:      c.oids,
-		owner:     slices.Clone(c.owner),
-		oslot:     slices.Clone(c.oslot),
-		ohome:     c.ohome,
-		wmodel:    c.wmodel,
-
-		moves:          slices.Clone(c.moves),
-		blockedSubOps:  c.blockedSubOps,
-		movesCommitted: c.movesCommitted,
-		movedPages:     c.movedPages,
-		movedBytes:     c.movedBytes,
-		migrations:     c.migrations,
-		migStart:       c.migStart,
-		migEnd:         c.migEnd,
+		build:      c.build,
+		counters:   c.counters,
+		remap:      c.remap.Clone(),
+		stream:     rng.New(seed),
+		owner:      slices.Clone(c.owner),
+		oslot:      slices.Clone(c.oslot),
+		moves:      slices.Clone(c.moves),
+		failed:     maps.Clone(c.failed),
+		locked:     make(map[object.ID]bool),
+		waiters:    make(map[object.ID][]pendingOp),
+		respSeries: c.respSeries.Clone(),
+		respAll:    &metrics.Histogram{},
+		respMigr:   c.respMigr.Clone(nil),
 	}
 	f.cfg.Scratch = nil
 	f.osds = make([]*OSD, len(c.osds))
 	for i, o := range c.osds {
-		ssd := o.SSD.Clone()
-		f.osds[i] = &OSD{
-			ID:         o.ID,
-			Group:      o.Group,
-			SSD:        ssd,
-			Store:      o.Store.Clone(ssd),
-			Tracker:    o.Tracker.Clone(),
-			busyUntil:  o.busyUntil,
-			load:       o.load.Clone(),
-			slowUntil:  o.slowUntil,
-			slowFactor: o.slowFactor,
-			subOps:     o.subOps,
-			busyTime:   o.busyTime,
-			busyAtMig:  o.busyAtMig,
-		}
+		d := *o
+		d.SSD = o.SSD.Clone()
+		d.Store = o.Store.Clone(d.SSD)
+		d.Tracker = o.Tracker.Clone()
+		f.osds[i] = &d
 	}
 	f.adopt(s)
 	var resp []float64

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"edm/internal/fnvx"
 	"edm/internal/metrics"
@@ -10,277 +10,190 @@ import (
 	"edm/internal/sim"
 )
 
-// State is a full digest-sealed capture of a cluster mid-run, taken
-// between simulation events. It pairs a handful of human-readable
-// summary scalars (enough to see *where* a mismatch happened) with
-// section digests that pin every behaviorally significant byte:
-// engine clock and event queue, per-device FTL/store/tracker state,
-// the dense placement tables, the remap table, HDF locks and waiters,
-// stream cursors, response statistics, RNG position, and the trace
-// identity. Two States are equal iff the two runs are at the same
-// point of the same deterministic execution.
+// State is a digest-sealed capture of a cluster mid-run, taken between
+// simulation events: the replay position, and one digest per section
+// of state — the cluster's nine sections, then four for each OSD in
+// turn (clusterSections and osdSections name them). Together the
+// sections pin every behaviorally significant value, so two States are
+// equal iff the two runs are at the same point of the same
+// deterministic execution.
 //
 // Capture is strictly read-only: exporting a State mutates nothing,
 // which is what keeps a checkpointed run byte-identical to an
 // uncheckpointed one.
 type State struct {
-	Now   int64  `json:"now"`
-	Fired uint64 `json:"fired"`
-	Seq   uint64 `json:"seq"`
-
-	QueueLen    int    `json:"queue_len"`
-	QueueDigest uint64 `json:"queue_digest"`
-
-	CompletedOps int    `json:"completed_ops"`
-	TotalOps     int    `json:"total_ops"`
-	Rejected     uint64 `json:"rejected"`
-	BlockedOps   uint64 `json:"blocked_ops"`
-	Migrations   int    `json:"migrations"`
-	MovedObjects int    `json:"moved_objects"`
-	RemapEntries int    `json:"remap_entries"`
-
-	Devices []DeviceState `json:"devices"`
-
-	TablesDigest   uint64 `json:"tables_digest"`
-	RemapDigest    uint64 `json:"remap_digest"`
-	CountersDigest uint64 `json:"counters_digest"`
-	LocksDigest    uint64 `json:"locks_digest"`
-	StreamsDigest  uint64 `json:"streams_digest"`
-	ResponseDigest uint64 `json:"response_digest"`
-
-	RNGSeed  uint64 `json:"rng_seed"`
-	RNGDraws uint64 `json:"rng_draws"`
-
-	TraceDigest uint64 `json:"trace_digest"`
+	Fired    uint64   `json:"fired"`
+	Now      int64    `json:"now"`
+	Sections []uint64 `json:"sections"`
 }
 
-// DeviceState seals one OSD.
-type DeviceState struct {
-	FlashDigest   uint64 `json:"flash_digest"`
-	LivePages     int64  `json:"live_pages"`
-	Erases        uint64 `json:"erases"`
-	HostWrites    uint64 `json:"host_writes"`
-	StoreDigest   uint64 `json:"store_digest"`
-	TrackerDigest uint64 `json:"tracker_digest"`
-	QueueDigest   uint64 `json:"queue_digest"`
-}
+// The sections of a State, in order.
+var (
+	clusterSections = []string{
+		"event queue", "run counters", "placement tables", "remap table",
+		"HDF locks/waiters", "stream cursors", "response statistics", "rng", "trace",
+	}
+	osdSections = []string{"flash", "object store", "temperature tracker", "service queue"}
+)
 
 // ExportState captures the cluster's full state. It walks every SSD's
 // mapping tables, so it is O(total pages) — meant for checkpoint
 // cadences, not per-event paths.
 func (c *Cluster) ExportState() *State {
-	s := &State{
-		Now:          int64(c.eng.Now()),
-		Fired:        c.eng.Fired(),
-		Seq:          c.eng.Seq(),
-		CompletedOps: c.completedOps,
-		TotalOps:     c.totalOps,
-		Rejected:     c.rejected,
-		BlockedOps:   c.blockedSubOps,
-		Migrations:   c.migrations,
-		MovedObjects: len(c.moves),
-		RemapEntries: c.remap.Stats().Entries,
+	s := &State{Fired: c.eng.Fired(), Now: int64(c.eng.Now())}
+	s.Sections = make([]uint64, 0, len(clusterSections)+len(osdSections)*len(c.osds))
+	seed, draws := c.stream.State()
+	s.Sections = append(s.Sections,
+		c.queueDigest(), c.countersDigest(), c.tablesDigest(), c.remap.StateDigest(),
+		c.locksDigest(), c.streamsDigest(), c.responseDigest(),
+		fnvx.New().Uint64(seed).Uint64(draws).Sum(),
+		fnvx.New().String(c.tr.Name).Int(len(c.tr.Records)).Int(len(c.tr.Files)).Int(c.tr.Users).Sum())
+	for _, o := range c.osds {
+		s.Sections = append(s.Sections,
+			o.SSD.StateDigest(), o.Store.StateDigest(), o.Tracker.StateDigest(), o.stateDigest())
 	}
+	return s
+}
 
-	// Engine event queue: (at, seq) pairs in deterministic order pin the
-	// pending schedule without serializing the (closure-typed) actions.
+// queueDigest seals the engine: its sequence counter and the pending
+// schedule as (at, seq) pairs in deterministic order, which pin it
+// without serializing the (closure-typed) actions.
+func (c *Cluster) queueDigest() uint64 {
 	c.queueBuf = c.eng.AppendQueue(c.queueBuf[:0])
-	s.QueueLen = len(c.queueBuf)
-	qh := fnvx.New()
+	h := fnvx.New().Uint64(c.eng.Seq()).Int(len(c.queueBuf))
 	for _, e := range c.queueBuf {
-		qh = qh.Int64(int64(e.At)).Uint64(e.Seq)
+		h = h.Int64(int64(e.At)).Uint64(e.Seq)
 	}
-	s.QueueDigest = qh.Sum()
+	return h.Sum()
+}
 
-	s.Devices = make([]DeviceState, len(c.osds))
-	for i, o := range c.osds {
-		fs := o.SSD.ExportState()
-		fh := fnvx.New().Uint64(fs.Digest).Int64(fs.LivePages).Int(fs.FreeBlocks).
-			Uint64(fs.OpClock).Uint64(fs.HostPageWrites).Uint64(fs.HostPageReads).
-			Uint64(fs.GCPageMoves).Uint64(fs.Erases).Uint64(fs.TrimmedPages).
-			Uint64(fs.VictimValidSumBits)
-		oh := fnvx.New().Int64(int64(o.busyUntil)).Int64(int64(o.slowUntil)).
-			Float64(o.slowFactor).Uint64(o.subOps).
-			Int64(int64(o.busyTime)).Int64(int64(o.busyAtMig)).
-			Float64(o.load.Value()).Bool(o.load.Started())
-		s.Devices[i] = DeviceState{
-			FlashDigest:   fh.Sum(),
-			LivePages:     fs.LivePages,
-			Erases:        fs.Erases,
-			HostWrites:    fs.HostPageWrites,
-			StoreDigest:   o.Store.StateDigest(fnvx.New()).Sum(),
-			TrackerDigest: o.Tracker.StateDigest(fnvx.New()).Sum(),
-			QueueDigest:   oh.Sum(),
-		}
-	}
-
-	// Dense placement tables.
-	th := fnvx.New().Int(int(c.k)).Int(len(c.oids))
-	for i := range c.oids {
-		th = th.Int64(int64(c.oids[i])).Int(int(c.owner[i])).
-			Int(int(c.oslot[i])).Int(int(c.ohome[i]))
-	}
-	s.TablesDigest = th.Sum()
-
-	s.RemapDigest = c.remap.StateDigest(fnvx.New()).Sum()
-
-	// Remaining run counters, migration bookkeeping and the failure set.
-	ch := fnvx.New().Int(c.migrateAfter).Bool(c.migrating).
-		Uint64(c.movesCommitted).Int64(c.movedPages).Int64(c.movedBytes).
-		Int64(int64(c.migStart)).Int64(int64(c.migEnd)).
-		Uint64(c.degradedOps).Uint64(c.lostOps).
-		Int(c.rebuilt).Int64(c.rebuiltBytes).Int(c.unrebuildable).
-		Int64(int64(c.rebuildStart)).Int64(int64(c.rebuildEnd)).
-		Int64(int64(c.failedAt))
-	ch = ch.Int(len(c.moves))
+// countersDigest seals every counters field, the planned moves and the
+// failure set.
+func (c *Cluster) countersDigest() uint64 {
+	n := &c.counters
+	h := fnvx.New().Int(n.completedOps).Int(n.totalOps).Int(n.migrateAfter).Bool(n.migrating).
+		Uint64(n.rejected).Uint64(n.blockedSubOps).
+		Int(n.migrations).Uint64(n.movesCommitted).Int64(n.movedPages).Int64(n.movedBytes).
+		Int64(int64(n.migStart)).Int64(int64(n.migEnd)).
+		Int64(int64(n.failedAt)).Uint64(n.degradedOps).Uint64(n.lostOps).
+		Int(n.rebuilt).Int64(n.rebuiltBytes).Int(n.unrebuildable).
+		Int64(int64(n.rebuildStart)).Int64(int64(n.rebuildEnd))
+	h = h.Int(len(c.moves))
 	for _, m := range c.moves {
-		ch = ch.Int64(int64(m.Obj)).Int(m.Src).Int(m.Dst).Int64(m.Pages).Int64(m.Bytes)
+		h = h.Int64(int64(m.Obj)).Int(m.Src).Int(m.Dst).Int64(m.Pages).Int64(m.Bytes)
 	}
 	failed := make([]int, 0, len(c.failed))
 	for id := range c.failed {
 		failed = append(failed, id)
 	}
-	sort.Ints(failed)
-	ch = ch.Int(len(failed))
+	slices.Sort(failed)
+	h = h.Int(len(failed))
 	for _, id := range failed {
-		ch = ch.Int(id)
+		h = h.Int(id)
 	}
-	s.CountersDigest = ch.Sum()
+	return h.Sum()
+}
 
-	// HDF locks and parked requests, in sorted object-id order.
-	lh := fnvx.New().Int(len(c.locked)).Int(len(c.waiters))
-	lockIDs := make([]int64, 0, len(c.locked))
+// tablesDigest seals the dense placement tables.
+func (c *Cluster) tablesDigest() uint64 {
+	h := fnvx.New().Int(int(c.k)).Int(len(c.oids))
+	for i := range c.oids {
+		h = h.Int64(int64(c.oids[i])).Int(int(c.owner[i])).
+			Int(int(c.oslot[i])).Int(int(c.ohome[i]))
+	}
+	return h.Sum()
+}
+
+// locksDigest seals the HDF locks and parked requests, in sorted
+// object-id order.
+func (c *Cluster) locksDigest() uint64 {
+	h := fnvx.New().Int(len(c.locked)).Int(len(c.waiters))
+	ids := make([]object.ID, 0, len(c.locked))
 	for id := range c.locked {
-		lockIDs = append(lockIDs, int64(id))
+		ids = append(ids, id)
 	}
-	sort.Slice(lockIDs, func(i, j int) bool { return lockIDs[i] < lockIDs[j] })
-	for _, id := range lockIDs {
-		lh = lh.Int64(id)
+	slices.Sort(ids)
+	for _, id := range ids {
+		h = h.Int64(int64(id))
 	}
-	waitIDs := lockIDs[:0]
+	ids = ids[:0]
 	for id := range c.waiters {
-		waitIDs = append(waitIDs, int64(id))
+		ids = append(ids, id)
 	}
-	sort.Slice(waitIDs, func(i, j int) bool { return waitIDs[i] < waitIDs[j] })
-	for _, id := range waitIDs {
-		lh = lh.Int64(id)
-		for _, p := range c.waiters[object.ID(id)] {
-			lh = lh.Int(int(p.rec.User)).Int64(int64(p.rec.File)).
+	slices.Sort(ids)
+	for _, id := range ids {
+		h = h.Int64(int64(id))
+		for _, p := range c.waiters[id] {
+			h = h.Int(int(p.rec.User)).Int64(int64(p.rec.File)).
 				Byte(byte(p.rec.Kind)).Int64(p.rec.Offset).Int64(p.rec.Size).
 				Int64(int64(p.issued)).Bool(p.parked).Bool(p.st != nil)
 		}
 	}
-	s.LocksDigest = lh.Sum()
+	return h.Sum()
+}
 
-	// Stream cursors (the closed-loop replay position per user).
-	sh := fnvx.New().Int(len(c.streams))
+// streamsDigest seals the stream cursors (the closed-loop replay
+// position per user).
+func (c *Cluster) streamsDigest() uint64 {
+	h := fnvx.New().Int(len(c.streams))
 	for i := range c.streams {
-		sh = sh.Int(c.streams[i].next).Int(len(c.streams[i].pos))
+		h = h.Int(c.streams[i].next).Int(len(c.streams[i].pos))
 	}
-	s.StreamsDigest = sh.Sum()
+	return h.Sum()
+}
 
-	// Response statistics: raw samples in observation order plus the
-	// time-series buckets.
-	rh := fnvx.New()
+// responseDigest seals the response statistics: raw samples in
+// observation order plus the time-series buckets.
+func (c *Cluster) responseDigest() uint64 {
+	h := fnvx.New()
 	for _, hist := range []*metrics.Histogram{c.respAll, c.respMigr} {
 		xs := hist.Samples()
-		rh = rh.Int(len(xs))
+		h = h.Int(len(xs))
 		for _, x := range xs {
-			rh = rh.Float64(x)
+			h = h.Float64(x)
 		}
 	}
 	for _, p := range c.respSeries.Points() {
-		rh = rh.Float64(p.Time).Float64(p.Mean).Int64(p.Count)
+		h = h.Float64(p.Time).Float64(p.Mean).Int64(p.Count)
 	}
-	s.ResponseDigest = rh.Sum()
+	return h.Sum()
+}
 
-	s.RNGSeed, s.RNGDraws = c.stream.State()
-
-	trh := fnvx.New().String(c.tr.Name).Int(len(c.tr.Records)).
-		Int(len(c.tr.Files)).Int(c.tr.Users)
-	s.TraceDigest = trh.Sum()
-	return s
+// stateDigest seals the OSD's service queue and per-device counters.
+func (o *OSD) stateDigest() uint64 {
+	return fnvx.New().Int64(int64(o.busyUntil)).Int64(int64(o.slowUntil)).
+		Float64(o.slowFactor).Uint64(o.subOps).
+		Int64(int64(o.busyTime)).Int64(int64(o.busyAtMig)).
+		Float64(o.load.Value()).Bool(o.load.Started()).Sum()
 }
 
 // Diff compares a freshly exported State against a sealed capture and
-// returns one message per mismatching section (empty when identical).
-// Section-level comparison localizes divergence: a resumed run that
-// drifted in, say, one device's GC order reports that device rather
-// than a bare "digest mismatch".
+// returns one message per mismatching section (empty when identical),
+// so a resumed run that drifted in, say, one device's GC order reports
+// that device rather than a bare "digest mismatch".
 func (s *State) Diff(want *State) []string {
 	var out []string
-	add := func(format string, a ...interface{}) { out = append(out, fmt.Sprintf(format, a...)) }
-	if s.Now != want.Now {
-		add("clock: now %v, want %v", sim.Time(s.Now), sim.Time(want.Now))
+	if s.Fired != want.Fired || s.Now != want.Now {
+		out = append(out, fmt.Sprintf("position: event %d at %v, want event %d at %v",
+			s.Fired, sim.Time(s.Now), want.Fired, sim.Time(want.Now)))
 	}
-	if s.Fired != want.Fired {
-		add("events: fired %d, want %d", s.Fired, want.Fired)
+	if len(s.Sections) != len(want.Sections) {
+		return append(out, fmt.Sprintf("sections: %d, want %d (a different OSD count?)",
+			len(s.Sections), len(want.Sections)))
 	}
-	if s.Seq != want.Seq {
-		add("events: seq %d, want %d", s.Seq, want.Seq)
-	}
-	if s.QueueLen != want.QueueLen || s.QueueDigest != want.QueueDigest {
-		add("event queue: %d entries digest %x, want %d entries digest %x",
-			s.QueueLen, s.QueueDigest, want.QueueLen, want.QueueDigest)
-	}
-	if s.CompletedOps != want.CompletedOps || s.TotalOps != want.TotalOps {
-		add("ops: completed %d/%d, want %d/%d", s.CompletedOps, s.TotalOps, want.CompletedOps, want.TotalOps)
-	}
-	if s.Rejected != want.Rejected {
-		add("ops: rejected %d, want %d", s.Rejected, want.Rejected)
-	}
-	if s.BlockedOps != want.BlockedOps {
-		add("ops: blocked %d, want %d", s.BlockedOps, want.BlockedOps)
-	}
-	if s.Migrations != want.Migrations || s.MovedObjects != want.MovedObjects {
-		add("migration: %d rounds %d moves, want %d rounds %d moves",
-			s.Migrations, s.MovedObjects, want.Migrations, want.MovedObjects)
-	}
-	if s.RemapEntries != want.RemapEntries || s.RemapDigest != want.RemapDigest {
-		add("remap table: %d entries digest %x, want %d entries digest %x",
-			s.RemapEntries, s.RemapDigest, want.RemapEntries, want.RemapDigest)
-	}
-	if len(s.Devices) != len(want.Devices) {
-		add("devices: %d, want %d", len(s.Devices), len(want.Devices))
-	} else {
-		for i := range s.Devices {
-			d, w := s.Devices[i], want.Devices[i]
-			if d.FlashDigest != w.FlashDigest {
-				add("osd%d flash: live %d erases %d writes %d digest %x, want live %d erases %d writes %d digest %x",
-					i, d.LivePages, d.Erases, d.HostWrites, d.FlashDigest,
-					w.LivePages, w.Erases, w.HostWrites, w.FlashDigest)
-			}
-			if d.StoreDigest != w.StoreDigest {
-				add("osd%d object store: digest %x, want %x", i, d.StoreDigest, w.StoreDigest)
-			}
-			if d.TrackerDigest != w.TrackerDigest {
-				add("osd%d temperature tracker: digest %x, want %x", i, d.TrackerDigest, w.TrackerDigest)
-			}
-			if d.QueueDigest != w.QueueDigest {
-				add("osd%d service queue: digest %x, want %x", i, d.QueueDigest, w.QueueDigest)
-			}
+	for i, d := range s.Sections {
+		if d != want.Sections[i] {
+			out = append(out, fmt.Sprintf("%s: digest %x, want %x", sectionName(i), d, want.Sections[i]))
 		}
 	}
-	if s.TablesDigest != want.TablesDigest {
-		add("placement tables: digest %x, want %x", s.TablesDigest, want.TablesDigest)
-	}
-	if s.CountersDigest != want.CountersDigest {
-		add("run counters: digest %x, want %x", s.CountersDigest, want.CountersDigest)
-	}
-	if s.LocksDigest != want.LocksDigest {
-		add("HDF locks/waiters: digest %x, want %x", s.LocksDigest, want.LocksDigest)
-	}
-	if s.StreamsDigest != want.StreamsDigest {
-		add("stream cursors: digest %x, want %x", s.StreamsDigest, want.StreamsDigest)
-	}
-	if s.ResponseDigest != want.ResponseDigest {
-		add("response statistics: digest %x, want %x", s.ResponseDigest, want.ResponseDigest)
-	}
-	if s.RNGSeed != want.RNGSeed || s.RNGDraws != want.RNGDraws {
-		add("rng: seed %x draws %d, want seed %x draws %d", s.RNGSeed, s.RNGDraws, want.RNGSeed, want.RNGDraws)
-	}
-	if s.TraceDigest != want.TraceDigest {
-		add("trace: digest %x, want %x (resumed against a different trace?)", s.TraceDigest, want.TraceDigest)
-	}
 	return out
+}
+
+// sectionName names the i-th section of a State.
+func sectionName(i int) string {
+	if i < len(clusterSections) {
+		return clusterSections[i]
+	}
+	i -= len(clusterSections)
+	return fmt.Sprintf("osd%d %s", i/len(osdSections), osdSections[i%len(osdSections)])
 }

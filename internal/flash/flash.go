@@ -414,12 +414,6 @@ func (s *SSD) TrimN(lpa int64, n int) {
 	}
 }
 
-// Mapped reports whether the logical page currently holds data.
-func (s *SSD) Mapped(lpa int64) bool {
-	s.checkLPA(lpa)
-	return s.l2p[lpa] != unmapped
-}
-
 // FreeBlocks returns the current number of free blocks (for tests).
 func (s *SSD) FreeBlocks() int { return len(s.free) }
 

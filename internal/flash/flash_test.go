@@ -84,11 +84,11 @@ func TestWriteReadTrimLatencies(t *testing.T) {
 	if got := s.Read(0); got != DefaultReadLatency {
 		t.Fatalf("read latency %v", got)
 	}
-	if !s.Mapped(0) {
+	if s.l2p[0] == unmapped {
 		t.Fatal("page 0 should be mapped")
 	}
 	s.Trim(0)
-	if s.Mapped(0) {
+	if s.l2p[0] != unmapped {
 		t.Fatal("page 0 should be unmapped after trim")
 	}
 	st := s.Stats()

@@ -1,44 +1,22 @@
 package flash
 
-import (
-	"math"
+import "edm/internal/fnvx"
 
-	"edm/internal/fnvx"
-)
-
-// State is the exportable capture of an SSD's FTL state: the summary
-// counters as plain values plus a digest sealing the full mapping and
-// block-level state. The digest covers everything that can influence
-// future device behavior — the L2P/P2L maps, per-block metadata
-// (state, valid count, write pointer, age stamp), the free list, both
-// write frontiers, and the GC buckets *in order* (victim selection
-// breaks ties by bucket position, so bucket order is behaviorally
-// significant state).
-//
-// Capture is strictly read-only: exporting a State mutates nothing, so
-// a checkpointed run stays byte-identical to an uncheckpointed one.
-type State struct {
-	LivePages  int64  `json:"live_pages"`
-	FreeBlocks int    `json:"free_blocks"`
-	OpClock    uint64 `json:"op_clock"`
-
-	HostPageWrites uint64 `json:"host_page_writes"`
-	HostPageReads  uint64 `json:"host_page_reads"`
-	GCPageMoves    uint64 `json:"gc_page_moves"`
-	Erases         uint64 `json:"erases"`
-	TrimmedPages   uint64 `json:"trimmed_pages"`
-	// VictimValidSumBits is the IEEE-754 bit pattern of the victim
-	// valid-ratio accumulator, exported as bits so the capture is exact.
-	VictimValidSumBits uint64 `json:"victim_valid_sum_bits"`
-
-	// Digest seals the full FTL state (see the type comment).
-	Digest uint64 `json:"digest"`
-}
-
-// ExportState captures the device's state. It walks the mapping tables
+// StateDigest seals the device's full FTL state in one word: the
+// L2P/P2L maps, per-block metadata (state, valid count, write pointer,
+// age stamp), the free list, both write frontiers, the GC buckets *in
+// order* (victim selection breaks ties by bucket position, so bucket
+// order is behaviorally significant state), the live-page count, the
+// op clock and every wear counter. It walks the mapping tables
 // (O(total pages)) — meant for checkpoints, not hot paths.
-func (s *SSD) ExportState() State {
-	h := fnvx.New()
+//
+// Capture is strictly read-only: it mutates nothing, so a checkpointed
+// run stays byte-identical to an uncheckpointed one.
+func (s *SSD) StateDigest() uint64 {
+	st := &s.stats
+	h := fnvx.New().Int64(s.livePages).Uint64(s.opClock).
+		Uint64(st.HostPageWrites).Uint64(st.HostPageReads).Uint64(st.GCPageMoves).
+		Uint64(st.Erases).Uint64(st.TrimmedPages).Float64(st.victimValidSum)
 	for _, v := range s.l2p {
 		h = h.Int64(v)
 	}
@@ -60,16 +38,5 @@ func (s *SSD) ExportState() State {
 			h = h.Int(int(id))
 		}
 	}
-	return State{
-		LivePages:          s.livePages,
-		FreeBlocks:         len(s.free),
-		OpClock:            s.opClock,
-		HostPageWrites:     s.stats.HostPageWrites,
-		HostPageReads:      s.stats.HostPageReads,
-		GCPageMoves:        s.stats.GCPageMoves,
-		Erases:             s.stats.Erases,
-		TrimmedPages:       s.stats.TrimmedPages,
-		VictimValidSumBits: math.Float64bits(s.stats.victimValidSum),
-		Digest:             h.Sum(),
-	}
+	return h.Sum()
 }

@@ -14,11 +14,11 @@ func TestClonesAreIndependent(t *testing.T) {
 		ts.Observe(float64(i*7), x)
 		e.Observe(x)
 	}
-	hc, tc, ec := h.Clone(make([]float64, 0, 64)), ts.Clone(), e.Clone()
+	hc, tc, ec := h.Clone(make([]float64, 0, 64)), ts.Clone(), *e // an EWMA copies by value
 	if !reflect.DeepEqual(hc.Samples(), h.Samples()) || hc.Mean() != h.Mean() {
 		t.Fatal("histogram clone differs")
 	}
-	if !reflect.DeepEqual(tc.Points(), ts.Points()) || *ec != *e {
+	if !reflect.DeepEqual(tc.Points(), ts.Points()) || ec != *e {
 		t.Fatal("series or average clone differs")
 	}
 	samples, points, avg := append([]float64(nil), h.Samples()...), ts.Points(), *e

@@ -12,7 +12,8 @@ import (
 )
 
 // EWMA is an exponentially weighted moving average. The zero value is not
-// usable; construct with NewEWMA.
+// usable; construct with NewEWMA. It is a plain value: a copy is
+// independent of its original.
 type EWMA struct {
 	alpha   float64
 	value   float64
@@ -38,12 +39,6 @@ func (e *EWMA) Observe(x float64) {
 	e.value = e.alpha*x + (1-e.alpha)*e.value
 }
 
-// Clone returns a copy of the average.
-func (e *EWMA) Clone() *EWMA {
-	c := *e
-	return &c
-}
-
 // Value returns the current average (0 before any observation).
 func (e *EWMA) Value() float64 { return e.value }
 
@@ -56,8 +51,6 @@ type Running struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 	sum  float64
 }
 
@@ -65,16 +58,6 @@ type Running struct {
 func (r *Running) Observe(x float64) {
 	r.n++
 	r.sum += x
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	d := x - r.mean
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
@@ -88,12 +71,6 @@ func (r *Running) Sum() float64 { return r.sum }
 
 // Mean returns the sample mean (0 with no samples).
 func (r *Running) Mean() float64 { return r.mean }
-
-// Min returns the smallest sample (0 with no samples).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample (0 with no samples).
-func (r *Running) Max() float64 { return r.max }
 
 // Variance returns the population variance.
 func (r *Running) Variance() float64 {

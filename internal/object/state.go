@@ -2,13 +2,13 @@ package object
 
 import "edm/internal/fnvx"
 
-// StateDigest folds the store's full slot and allocation state into h
-// and returns the extended digest. It covers the per-slot columns
+// StateDigest seals the store's full slot and allocation state in one
+// word. It covers the per-slot columns
 // (id, size, page count, every extent), the free-slot list, the free
 // logical space map and the used-page counter — everything that shapes
 // future allocations and device addressing. Capture is read-only.
-func (st *Store) StateDigest(h fnvx.Hash) fnvx.Hash {
-	h = h.Int(st.live).Int(len(st.ids)).Int64(st.usedPgs)
+func (st *Store) StateDigest() uint64 {
+	h := fnvx.New().Int(st.live).Int(len(st.ids)).Int64(st.usedPgs)
 	for i := range st.ids {
 		if !st.inUse[i] {
 			h = h.Bool(false)
@@ -33,5 +33,5 @@ func (st *Store) StateDigest(h fnvx.Hash) fnvx.Hash {
 	for _, e := range st.free {
 		h = h.Int64(e.start).Int64(e.pages)
 	}
-	return h
+	return h.Sum()
 }

@@ -159,21 +159,8 @@ func (l Layout) GroupMembers(g int) []int {
 // admissibility check).
 func (l Layout) SameGroup(a, b int) bool { return l.GroupOf(a) == l.GroupOf(b) }
 
-// Place returns the home SSDs of a file's k objects.
-func (l Layout) Place(inode int64) []int {
-	if inode < 0 {
-		panic(fmt.Sprintf("placement: negative inode %d", inode))
-	}
-	out := make([]int, l.K)
-	for i := 0; i < l.K; i++ {
-		out[i] = l.HomeOf(inode, i)
-	}
-	return out
-}
-
-// AppendHomes appends the home SSDs of the file's k objects to dst (the
-// allocation-free bulk form of Place, used when prefilling the cluster's
-// dense home table).
+// AppendHomes appends the home SSDs of the file's k objects to dst (used
+// when prefilling the cluster's dense home table).
 func (l Layout) AppendHomes(dst []int32, inode int64) []int32 {
 	for i := 0; i < l.K; i++ {
 		dst = append(dst, int32(l.HomeOf(inode, i)))

@@ -1,9 +1,23 @@
 package placement
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// Place returns the home SSDs of a file's k objects, one HomeOf call
+// each: the per-file form the placement properties are stated in.
+func (l Layout) Place(inode int64) []int {
+	if inode < 0 {
+		panic(fmt.Sprintf("placement: negative inode %d", inode))
+	}
+	out := make([]int, l.K)
+	for i := 0; i < l.K; i++ {
+		out[i] = l.HomeOf(inode, i)
+	}
+	return out
+}
 
 func TestValidate(t *testing.T) {
 	good := []Layout{

@@ -73,14 +73,8 @@ type Access struct {
 	IsParity bool
 }
 
-// ReadAccesses returns the per-object ranges for a file read: pure data
-// reads, no parity involvement.
-func (g Geometry) ReadAccesses(off, length int64) []Access {
-	return g.AppendReadAccesses(nil, off, length)
-}
-
-// AppendReadAccesses appends a file read's per-object ranges to accs and
-// returns the extended slice. Passing a reused buffer keeps the replay
+// AppendReadAccesses appends a file read's per-object ranges (pure data
+// reads, no parity involvement) to accs and returns the extended slice. Passing a reused buffer keeps the replay
 // hot path allocation-free.
 func (g Geometry) AppendReadAccesses(accs []Access, off, length int64) []Access {
 	g.mapData(off, length, func(row int64, obj int, objOff, n int64) {
@@ -89,18 +83,11 @@ func (g Geometry) AppendReadAccesses(accs []Access, off, length int64) []Access 
 	return accs
 }
 
-// WriteAccesses returns the per-object ranges for a file write using the
-// RAID-5 small-write path: each touched data range is pre-read and
-// written, and each touched stripe row's parity range is pre-read and
-// written. Rows overwritten in full skip the pre-reads (reconstruct
-// write).
-func (g Geometry) WriteAccesses(off, length int64) []Access {
-	return g.AppendWriteAccesses(nil, off, length)
-}
-
-// AppendWriteAccesses appends a file write's per-object ranges (RAID-5
-// small-write path, as WriteAccesses) to accs and returns the extended
-// slice. Passing a reused buffer keeps the replay hot path
+// AppendWriteAccesses appends a file write's per-object ranges to accs
+// and returns the extended slice. Writes take the RAID-5 small-write
+// path: each touched data range is pre-read and written, and each
+// touched stripe row's parity range is pre-read and written. Rows
+// overwritten in full skip the pre-reads (reconstruct write). Passing a reused buffer keeps the replay hot path
 // allocation-free.
 func (g Geometry) AppendWriteAccesses(accs []Access, off, length int64) []Access {
 	if length <= 0 {

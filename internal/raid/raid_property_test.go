@@ -65,8 +65,8 @@ func TestPropertyAccessConservation(t *testing.T) {
 				t.Fatalf("seed %d read: %d parity accesses on the pure-data path", seed, len(parityRows))
 			}
 		}
-		check("read", g.ReadAccesses(off, length))
-		check("write", g.WriteAccesses(off, length))
+		check("read", g.AppendReadAccesses(nil, off, length))
+		check("write", g.AppendWriteAccesses(nil, off, length))
 	}
 }
 

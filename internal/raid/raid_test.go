@@ -65,7 +65,7 @@ func TestEveryRowHasDistinctObjects(t *testing.T) {
 
 func TestReadAccessesSingleUnit(t *testing.T) {
 	g := geom()
-	accs := g.ReadAccesses(0, 8192)
+	accs := g.AppendReadAccesses(nil, 0, 8192)
 	if len(accs) != 1 {
 		t.Fatalf("small read accesses: %+v", accs)
 	}
@@ -79,7 +79,7 @@ func TestReadAccessesSpanUnits(t *testing.T) {
 	g := geom()
 	su := g.StripeUnit
 	// Read crossing from column 0 into column 1 of row 0.
-	accs := g.ReadAccesses(su-100, 200)
+	accs := g.AppendReadAccesses(nil, su-100, 200)
 	if len(accs) != 2 {
 		t.Fatalf("accesses: %+v", accs)
 	}
@@ -95,7 +95,7 @@ func TestReadAccessesSpanUnits(t *testing.T) {
 
 func TestSmallWriteIsReadModifyWrite(t *testing.T) {
 	g := geom()
-	accs := g.WriteAccesses(0, 4096)
+	accs := g.AppendWriteAccesses(nil, 0, 4096)
 	if len(accs) != 2 {
 		t.Fatalf("small write should touch data+parity: %+v", accs)
 	}
@@ -114,7 +114,7 @@ func TestSmallWriteIsReadModifyWrite(t *testing.T) {
 func TestFullRowWriteSkipsPreReads(t *testing.T) {
 	g := geom()
 	rowBytes := g.StripeUnit * int64(g.K-1)
-	accs := g.WriteAccesses(0, rowBytes)
+	accs := g.AppendWriteAccesses(nil, 0, rowBytes)
 	if len(accs) != 4 {
 		t.Fatalf("full-row write: %+v", accs)
 	}
@@ -132,7 +132,7 @@ func TestWriteSpansRows(t *testing.T) {
 	g := geom()
 	rowBytes := g.StripeUnit * int64(g.K-1)
 	// Write crossing a row boundary: parity of both rows is touched.
-	accs := g.WriteAccesses(rowBytes-4096, 8192)
+	accs := g.AppendWriteAccesses(nil, rowBytes-4096, 8192)
 	parities := map[int]bool{}
 	for _, a := range accs {
 		if a.IsParity {
@@ -150,7 +150,7 @@ func TestWriteBytesConserved(t *testing.T) {
 		{0, 1}, {0, 4096}, {1000, 100000}, {g.StripeUnit - 1, 2}, {0, g.StripeUnit * 9},
 	} {
 		var dataBytes int64
-		for _, a := range g.WriteAccesses(tc.off, tc.n) {
+		for _, a := range g.AppendWriteAccesses(nil, tc.off, tc.n) {
 			if !a.IsParity {
 				dataBytes += a.Length
 			}
@@ -163,10 +163,10 @@ func TestWriteBytesConserved(t *testing.T) {
 
 func TestZeroLengthAccesses(t *testing.T) {
 	g := geom()
-	if accs := g.WriteAccesses(0, 0); accs != nil {
+	if accs := g.AppendWriteAccesses(nil, 0, 0); accs != nil {
 		t.Fatalf("zero write: %+v", accs)
 	}
-	if accs := g.ReadAccesses(0, 0); len(accs) != 0 {
+	if accs := g.AppendReadAccesses(nil, 0, 0); len(accs) != 0 {
 		t.Fatalf("zero read: %+v", accs)
 	}
 }
@@ -174,8 +174,8 @@ func TestZeroLengthAccesses(t *testing.T) {
 func TestNegativePanics(t *testing.T) {
 	g := geom()
 	for _, fn := range []func(){
-		func() { g.ReadAccesses(-1, 10) },
-		func() { g.WriteAccesses(-1, 10) },
+		func() { g.AppendReadAccesses(nil, -1, 10) },
+		func() { g.AppendWriteAccesses(nil, -1, 10) },
 		func() { g.ParityObj(-1) },
 		func() { g.DataObj(0, 3) },
 	} {
@@ -200,7 +200,7 @@ func TestObjectDataBytesBoundsAccesses(t *testing.T) {
 		if n > 256*1024 {
 			n = 256 * 1024
 		}
-		for _, a := range g.WriteAccesses(off, n) {
+		for _, a := range g.AppendWriteAccesses(nil, off, n) {
 			if a.Offset+a.Length > bound {
 				t.Fatalf("access %+v exceeds per-object bound %d", a, bound)
 			}
@@ -218,7 +218,7 @@ func TestPropertyReadSegmentsTileRange(t *testing.T) {
 		off := int64(offRaw)
 		n := int64(nRaw) % 4096
 		var total int64
-		for _, a := range g.ReadAccesses(off, n) {
+		for _, a := range g.AppendReadAccesses(nil, off, n) {
 			if a.Length <= 0 || a.Obj < 0 || a.Obj >= k {
 				return false
 			}
@@ -240,7 +240,7 @@ func TestPropertyParityDisjointFromData(t *testing.T) {
 		rowBytes := g.StripeUnit * int64(k-1)
 		byRow := map[int64]map[int]bool{}
 		cursor := off
-		for _, a := range g.WriteAccesses(off, n) {
+		for _, a := range g.AppendWriteAccesses(nil, off, n) {
 			row := a.Offset / g.StripeUnit
 			if byRow[row] == nil {
 				byRow[row] = map[int]bool{}

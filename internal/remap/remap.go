@@ -216,13 +216,3 @@ func (t *Table) Entries() []object.ID {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
-
-// MemoryBytes estimates the table's resident size as the paper's §III.C
-// accounting does: one 8-byte id plus a 4-byte OSD index per entry plus
-// hash-structure overhead (~1.5x), the quantity Fig. 8 is a proxy for.
-// The estimate is a model of the scheme being measured, not of this
-// process's RSS, so it is unchanged by the dense layout.
-func (t *Table) MemoryBytes() int64 {
-	const perEntry = 12
-	return int64(float64(t.entries*perEntry) * 1.5)
-}

@@ -92,19 +92,6 @@ func TestEntriesSorted(t *testing.T) {
 	}
 }
 
-func TestMemoryBytesScalesWithEntries(t *testing.T) {
-	tb := New()
-	if tb.MemoryBytes() != 0 {
-		t.Fatal("empty table should report 0 bytes")
-	}
-	for i := object.ID(0); i < 100; i++ {
-		tb.Record(i, 0, 1)
-	}
-	if tb.MemoryBytes() < 100*12 {
-		t.Fatalf("MemoryBytes = %d", tb.MemoryBytes())
-	}
-}
-
 // TestTableEdgeCases walks the table through the awkward move sequences
 // the simulator produces over long runs — re-moving already-remapped
 // objects, bouncing home and out again — and pins the full Stats

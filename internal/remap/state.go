@@ -7,12 +7,12 @@ import (
 	"edm/internal/object"
 )
 
-// StateDigest folds the table's live entries and cumulative counters
-// into h and returns the extended digest. Dense entries are walked in
+// StateDigest seals the table's live entries and cumulative counters in
+// one word. Dense entries are walked in
 // id order and overflow entries are sorted first, so the digest is
 // independent of map iteration order. Capture is read-only.
-func (t *Table) StateDigest(h fnvx.Hash) fnvx.Hash {
-	h = h.Int(t.entries).Int(t.peakEntries).
+func (t *Table) StateDigest() uint64 {
+	h := fnvx.New().Int(t.entries).Int(t.peakEntries).
 		Uint64(t.moves).Uint64(t.inserts).Uint64(t.updates).Uint64(t.removals)
 	for id, osd := range t.dense {
 		if osd != noEntry {
@@ -27,5 +27,5 @@ func (t *Table) StateDigest(h fnvx.Hash) fnvx.Hash {
 	for _, id := range ids {
 		h = h.Int64(id).Int(int(t.overflow[object.ID(id)]))
 	}
-	return h
+	return h.Sum()
 }

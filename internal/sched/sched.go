@@ -191,14 +191,6 @@ func (t *Ticket) Tenant() string { return t.tenant }
 // Payload returns the opaque payload passed to Submit.
 func (t *Ticket) Payload() any { return t.payload }
 
-// Resumes reports how many times the ticket was preempted and
-// re-admitted.
-func (t *Ticket) Resumes() int {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	return t.resumes
-}
-
 // Preempted returns a channel that is closed when the scheduler asks
 // the executor to preempt this running ticket. The channel is re-armed
 // on every Next, so read it once per execution attempt, right after
@@ -541,7 +533,7 @@ func ewma(avg, x float64) float64 {
 }
 
 // ObserveRun feeds one run duration into the estimator without a
-// ticket — used by recovery paths and tests to seed the estimates.
+// ticket, seeding the estimates before any ticket has finished.
 func (s *Scheduler) ObserveRun(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -592,14 +584,6 @@ func (s *Scheduler) slotFreeLocked() time.Duration {
 		return 0
 	}
 	return time.Duration(s.avgRunS / 2 / float64(s.cfg.Workers) * float64(time.Second))
-}
-
-// EstimateWait returns the live queue-wait estimate for the class
-// (zero when the scheduler has no runtime observations yet).
-func (s *Scheduler) EstimateWait(class Class) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.estimateLocked(class)
 }
 
 // RetryAfterHint returns the live slot-free estimate backing 429

@@ -191,10 +191,18 @@ func TestMaxWaitRejection(t *testing.T) {
 	_ = tk
 }
 
+// estimateWait is the queue-wait estimate a submit of the class would
+// be admitted against.
+func estimateWait(s *Scheduler, class Class) time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.estimateLocked(class)
+}
+
 func TestEstimateScalesWithBacklog(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 64})
 	s.ObserveRun(4 * time.Second)
-	if est := s.EstimateWait(Normal); est != 0 {
+	if est := estimateWait(s, Normal); est != 0 {
 		t.Fatalf("empty queue estimate = %v, want 0", est)
 	}
 	for i := 0; i < 4; i++ {
@@ -203,12 +211,12 @@ func TestEstimateScalesWithBacklog(t *testing.T) {
 		}
 	}
 	// 4 ahead * 4s / 2 workers = 8s.
-	if est := s.EstimateWait(Normal); est != 8*time.Second {
+	if est := estimateWait(s, Normal); est != 8*time.Second {
 		t.Fatalf("estimate = %v, want 8s", est)
 	}
 	// Batch sees the same backlog; interactive sees nothing queued at
 	// or above its class.
-	if est := s.EstimateWait(Interactive); est != 0 {
+	if est := estimateWait(s, Interactive); est != 0 {
 		t.Fatalf("interactive estimate = %v, want 0", est)
 	}
 }
@@ -324,8 +332,8 @@ func TestRequeueResumesAtHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Requeue(victim)
-	if victim.Resumes() != 1 {
-		t.Fatalf("resumes = %d, want 1", victim.Resumes())
+	if victim.resumes != 1 {
+		t.Fatalf("resumes = %d, want 1", victim.resumes)
 	}
 	got := s.Next()
 	if got.ID() != "victim" {

@@ -61,7 +61,7 @@ func TestCheckpointResumeOverHTTP(t *testing.T) {
 
 	ckCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	frame, err := c.Checkpoint(ckCtx, st.ID)
+	frame, err := c.frame(ckCtx, http.MethodPost, "/v1/runs/"+st.ID+"/checkpoint")
 	if err != nil {
 		t.Fatalf("demand checkpoint: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestCheckpointUnknownJob(t *testing.T) {
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
 		t.Fatalf("LatestCheckpoint(unknown) = %v, want 404 APIError", err)
 	}
-	_, err = c.Checkpoint(context.Background(), "run-99999999")
+	_, err = c.frame(context.Background(), http.MethodPost, "/v1/runs/run-99999999/checkpoint")
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
 		t.Fatalf("Checkpoint(unknown) = %v, want 404 APIError", err)
 	}
@@ -214,7 +214,11 @@ func TestStateDirRecovery(t *testing.T) {
 				len(view.Request.Resume), err)
 		}
 		checkpointAndCrash(t, s, ts, c, id)
-		snap, err := snapshot.ReadLastFile(ckPath)
+		ck, err = os.ReadFile(ckPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := snapshot.ReadLast(bytes.NewReader(ck))
 		if err != nil {
 			t.Fatalf("frame file after the restarted life: %v", err)
 		}
@@ -339,7 +343,7 @@ func checkpointAndCrash(t *testing.T, s *Server, ts *httptest.Server, c *Client,
 	waitProgress(t, c, id, 30*time.Second)
 	ckCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := c.Checkpoint(ckCtx, id); err != nil {
+	if _, err := c.frame(ckCtx, http.MethodPost, "/v1/runs/"+id+"/checkpoint"); err != nil {
 		t.Fatalf("demand checkpoint: %v", err)
 	}
 	expired, cancelExpired := context.WithCancel(context.Background())

@@ -115,15 +115,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// Checkpoint requests an on-demand checkpoint of a running job (POST)
-// and returns the digest-sealed frame. The server waits for the
-// simulation's next trigger poll, so bound the call with a context
-// deadline. A job that finished without ever writing a frame returns
-// ErrNoCheckpoint.
-func (c *Client) Checkpoint(ctx context.Context, id string) ([]byte, error) {
-	return c.frame(ctx, http.MethodPost, "/v1/runs/"+id+"/checkpoint")
-}
-
 // LatestCheckpoint fetches the newest already-written frame (GET)
 // without perturbing the run's cadence; ErrNoCheckpoint when the run
 // has not checkpointed yet.

@@ -18,7 +18,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -39,17 +38,11 @@ const (
 	Hour             = 60 * Minute
 )
 
-// MaxTime is the largest representable virtual time.
-const MaxTime Time = math.MaxInt64
-
 // Duration converts a time.Duration into a virtual duration.
 func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Minutes reports t as floating-point minutes.
-func (t Time) Minutes() float64 { return float64(t) / float64(Minute) }
 
 // String formats the virtual time like a time.Duration.
 func (t Time) String() string { return time.Duration(t).String() }
@@ -478,19 +471,6 @@ func (e *Engine) Run() {
 	e.guard()
 	defer func() { e.running = false }()
 	for e.Step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline (if it is beyond the last event fired).
-func (e *Engine) RunUntil(deadline Time) {
-	e.guard()
-	defer func() { e.running = false }()
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }
 

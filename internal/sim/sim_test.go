@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -14,9 +15,6 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if got := (2 * Second).Seconds(); got != 2.0 {
 		t.Fatalf("Seconds: got %v", got)
-	}
-	if got := (90 * Second).Minutes(); got != 1.5 {
-		t.Fatalf("Minutes: got %v", got)
 	}
 	if s := (1500 * Millisecond).String(); s != "1.5s" {
 		t.Fatalf("String: got %q", s)
@@ -177,26 +175,23 @@ func TestStepAdvancesOneEvent(t *testing.T) {
 	}
 }
 
+// TestRunUntil runs the engine until a fired count, leaving the clock
+// at the last event fired, and then until the queue drains.
 func TestRunUntil(t *testing.T) {
 	e := New()
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
 		e.At(at, func(now Time) { fired = append(fired, now) })
 	}
-	e.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(25) fired %d events, want 2", len(fired))
+	if err := e.RunContextFired(context.Background(), 2); err != nil {
+		t.Fatal(err)
 	}
-	if e.Now() != 25 {
-		t.Fatalf("clock at %v after RunUntil(25)", e.Now())
+	if len(fired) != 2 || e.Now() != 20 {
+		t.Fatalf("run until 2 events: fired %d, clock at %v; want 2 at 20", len(fired), e.Now())
 	}
-	e.RunUntil(100)
-	if len(fired) != 4 {
-		t.Fatalf("second RunUntil fired %d total, want 4", len(fired))
-	}
-	if e.Now() != 100 {
-		t.Fatalf("clock at %v after RunUntil(100)", e.Now())
+	e.Run()
+	if len(fired) != 4 || e.Now() != 40 {
+		t.Fatalf("run to the end: fired %d, clock at %v; want 4 at 40", len(fired), e.Now())
 	}
 }
 
@@ -266,9 +261,9 @@ func TestPendingCountsQueuedEvents(t *testing.T) {
 }
 
 // TestRunUntilAllCancelled drains a queue whose every event was
-// cancelled: Cancel removes events from the heap eagerly, so RunUntil
-// must see an empty queue, fire nothing, and still advance the clock to
-// the deadline.
+// cancelled: Cancel removes events from the heap eagerly, so a run
+// until the queue drains must see an empty queue, fire nothing, and
+// leave the clock where it was.
 func TestRunUntilAllCancelled(t *testing.T) {
 	e := New()
 	handles := make([]Handle, 5)
@@ -283,9 +278,9 @@ func TestRunUntilAllCancelled(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after cancelling everything, want 0", e.Pending())
 	}
-	e.RunUntil(100)
-	if e.Now() != 100 {
-		t.Fatalf("clock at %v after RunUntil(100) over a dead queue", e.Now())
+	e.Run()
+	if e.Now() != 0 {
+		t.Fatalf("clock at %v after running a dead queue", e.Now())
 	}
 	if e.Fired() != 0 {
 		t.Fatalf("Fired() = %d, want 0", e.Fired())
@@ -295,9 +290,9 @@ func TestRunUntilAllCancelled(t *testing.T) {
 	}
 }
 
-// TestRunUntilSkipsCancelledHead cancels the earliest events so the
-// queue head is dead at the moment RunUntil peeks: the surviving later
-// event must still fire at its own time, not the cancelled one's.
+// TestRunUntilSkipsCancelledHead cancels the earliest events, then
+// runs until one event has fired: that must be the surviving later
+// event, at its own time, not a cancelled one.
 func TestRunUntilSkipsCancelledHead(t *testing.T) {
 	e := New()
 	h1 := e.At(10, func(Time) { t.Error("cancelled head fired") })
@@ -309,13 +304,11 @@ func TestRunUntilSkipsCancelledHead(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("Pending() = %d, want 1 (cancelled events must not linger)", e.Pending())
 	}
-	e.RunUntil(25)
-	if e.Now() != 25 || e.Fired() != 0 {
-		t.Fatalf("RunUntil(25): now=%v fired=%d, want 25/0", e.Now(), e.Fired())
+	if err := e.RunContextFired(context.Background(), 1); err != nil {
+		t.Fatal(err)
 	}
-	e.RunUntil(35)
-	if firedAt != 30 {
-		t.Fatalf("surviving event fired at %v, want 30", firedAt)
+	if firedAt != 30 || e.Now() != 30 || e.Pending() != 0 {
+		t.Fatalf("surviving event fired at %v (clock %v, %d pending), want 30", firedAt, e.Now(), e.Pending())
 	}
 }
 

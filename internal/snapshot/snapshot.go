@@ -11,7 +11,8 @@
 // snapshot therefore stores the *replay coordinates* — the spec JSON
 // (plus the encoded trace when the spec carried an explicit one) and
 // the fired-event count — together with a digest-sealed capture of the
-// complete cluster state at that point. Observers are in neither: they
+// complete cluster state at that point: one digest per section, nine
+// for the cluster and four per OSD. Observers are in neither: they
 // attach to a run outside its spec and take no event-queue slot.
 //
 // Restore rebuilds the cluster from the embedded spec, fast-forwards
@@ -33,11 +34,12 @@
 //	payload SHA-256  (32 bytes)
 //	payload          (JSON-encoded Snapshot)
 //
-// The current format is version 2. Version 1 frames sealed their state
-// with byte-wise section digests; version 2 seals the same sections with
-// the word-wise digests of package fnvx, so a version-1 capture can
-// never verify against a version-2 binary. Decoders therefore refuse a
-// frame of any other version at the header, as ErrCorrupt, instead of
+// The current format is version 3: the state capture is the replay
+// position plus an ordered list of section digests. Version 2 sealed
+// the same values under named fields, grouped differently, and version
+// 1 with byte-wise digests; a capture of either can never verify
+// against this binary. Decoders therefore refuse a frame of any other
+// version at the header, as ErrCorrupt naming both versions, instead of
 // replaying to its event count only to fail Verify with a divergence
 // diff. edmd treats a refused frame file like a missing one: it removes
 // it and restarts the job from event 0.
@@ -58,7 +60,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"edm/internal/cluster"
@@ -68,8 +69,9 @@ import (
 // with a different version rather than guessing at field layouts —
 // checkpoints do not outlive the binary that wrote them. Bump it
 // whenever the payload layout or any section digest changes (version 2:
-// word-wise fnvx digests).
-const Version = 2
+// word-wise fnvx digests; version 3: the position plus a list of
+// section digests).
+const Version = 3
 
 var magic = [8]byte{'E', 'D', 'M', 'S', 'N', 'A', 'P', '1'}
 
@@ -183,16 +185,6 @@ func ReadLast(r io.Reader) (*Snapshot, error) {
 		return nil, ErrNoSnapshot
 	}
 	return decodePayload(last)
-}
-
-// ReadLastFile is ReadLast over a file.
-func ReadLastFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	return ReadLast(f)
 }
 
 // Decode decodes a single frame (the first in b). Fuzzing entry point

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"edm/internal/rng"
@@ -447,29 +446,4 @@ func requestSize(s *rng.Stream, kind OpKind, p Profile) int64 {
 		return avg
 	}
 	return s.UniformRange(lo, hi)
-}
-
-// TopFilesByOps returns the n most-operated-on files (tests assert the
-// generated skew).
-func (t *Trace) TopFilesByOps(n int) []FileID {
-	counts := make(map[FileID]int)
-	for _, r := range t.Records {
-		if r.Kind == OpRead || r.Kind == OpWrite {
-			counts[r.File]++
-		}
-	}
-	ids := make([]FileID, 0, len(counts))
-	for id := range counts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if counts[ids[i]] != counts[ids[j]] {
-			return counts[ids[i]] > counts[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	if n > len(ids) {
-		n = len(ids)
-	}
-	return ids[:n]
 }

@@ -5,10 +5,36 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// TopFilesByOps returns the n most-operated-on files: a map-and-sort
+// reference the skew tests read the generated traces through.
+func (t *Trace) TopFilesByOps(n int) []FileID {
+	counts := make(map[FileID]int)
+	for _, r := range t.Records {
+		if r.Kind == OpRead || r.Kind == OpWrite {
+			counts[r.File]++
+		}
+	}
+	ids := make([]FileID, 0, len(counts))
+	for id := range counts {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if counts[ids[i]] != counts[ids[j]] {
+			return counts[ids[i]] > counts[ids[j]]
+		}
+		return ids[i] < ids[j]
+	})
+	if n > len(ids) {
+		n = len(ids)
+	}
+	return ids[:n]
+}
 
 func small(t *testing.T) *Trace {
 	t.Helper()

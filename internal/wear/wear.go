@@ -36,9 +36,6 @@ func UFromUr(ur float64) float64 {
 	return (ur - 1) / math.Log(ur)
 }
 
-// UFromUrSigma evaluates Eq.(3): UFromUr(ur) + sigma.
-func UFromUrSigma(ur, sigma float64) float64 { return UFromUr(ur) + sigma }
-
 // F inverts Eq.(3): it returns the victim valid ratio u_r such that
 // (u_r−1)/ln(u_r) + sigma = u. The result is clamped to [0, urMax]
 // because utilizations at or below sigma predict an (unattainably good)

@@ -7,6 +7,10 @@ import (
 	"testing/quick"
 )
 
+// UFromUrSigma evaluates Eq. (3), UFromUr(ur) + sigma: the forward
+// reference the inverse F is checked against.
+func UFromUrSigma(ur, sigma float64) float64 { return UFromUr(ur) + sigma }
+
 func TestUFromUrLimits(t *testing.T) {
 	if got := UFromUr(0); got != 0 {
 		t.Fatalf("UFromUr(0) = %v", got)
