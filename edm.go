@@ -28,8 +28,8 @@
 // writes digest-sealed snapshots a later Resume continues from with
 // byte-identical output, WithTelemetry and WithMetrics attach an event
 // recorder and a metric registry, WithCheck runs the full
-// invariant-checking harness, and WithPrefixMemo lets the runs of a
-// sweep that differ only in policy share their first half.
+// invariant-checking harness. NewCell lets the runs of a sweep that
+// differ only in policy share their first half.
 package edm
 
 import (

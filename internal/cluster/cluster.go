@@ -207,6 +207,8 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 		respAll:    &metrics.Histogram{},
 		respMigr:   &metrics.Histogram{},
 	}
+	c.adopt(cfg.Scratch)
+	c.cfg.Scratch = nil
 	if err := c.buildDevices(); err != nil {
 		return nil, err
 	}
@@ -220,7 +222,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 	for _, o := range c.osds {
 		o.SSD.ResetStats()
 	}
-	c.adopt(cfg.Scratch)
 	return c, nil
 }
 
@@ -461,18 +462,19 @@ func (c *Cluster) buildDevices() error {
 		GCHighBlocks:  gcHighBlocks,
 	}
 
-	c.osds = make([]*OSD, c.cfg.OSDs)
-	for i := range c.osds {
-		ssd, err := flash.New(fcfg)
-		if err != nil {
+	c.osds = c.recycleOSDs(c.cfg.OSDs)
+	for i, o := range c.osds {
+		if err := o.SSD.Reset(fcfg); err != nil {
 			return fmt.Errorf("cluster: building SSD %d: %w", i, err)
 		}
-		c.osds[i] = &OSD{
+		o.Store.Reset(o.SSD)
+		o.Tracker.Reset(c.cfg.TemperatureInterval)
+		*o = OSD{
 			ID:      i,
 			Group:   c.layout.GroupOf(i),
-			SSD:     ssd,
-			Store:   object.NewStore(ssd),
-			Tracker: temperature.New(c.cfg.TemperatureInterval),
+			SSD:     o.SSD,
+			Store:   o.Store,
+			Tracker: o.Tracker,
 			load:    *metrics.NewEWMA(loadEWMAAlpha),
 		}
 	}

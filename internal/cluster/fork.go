@@ -31,7 +31,7 @@ func unforkable(reason string) error {
 // one cluster may be taken concurrently, provided nothing runs it — and
 // the copy shares no mutable memory with it; the build part (trace,
 // fixed placement tables) is shared read-only. A non-nil s donates
-// the copy's buffers, as Config.Scratch does for New.
+// the copy's buffers and device state, as Config.Scratch does for New.
 //
 // The copy has no planner (planners keep scratch of their own: install
 // one with SetPlanner or Retarget), and none of the original's
@@ -70,24 +70,19 @@ func (c *Cluster) Fork(s *Scratch) (*Cluster, error) {
 		respAll:    &metrics.Histogram{},
 		respMigr:   c.respMigr.Clone(nil),
 	}
-	f.cfg.Scratch = nil
-	f.osds = make([]*OSD, len(c.osds))
-	for i, o := range c.osds {
-		d := *o
-		d.SSD = o.SSD.Clone()
-		d.Store = o.Store.Clone(d.SSD)
-		d.Tracker = o.Tracker.Clone()
-		f.osds[i] = &d
-	}
 	f.adopt(s)
-	var resp []float64
-	if s != nil {
-		// A copy that continues: size the sample buffer for the whole
-		// run, as prepare does. Without scratch it holds just the
-		// samples so far, which suits a copy that is only forked.
-		if resp = f.respAll.Buffer(); cap(resp) < c.totalOps {
-			resp = make([]float64, 0, c.totalOps)
-		}
+	f.osds = f.recycleOSDs(len(c.osds))
+	for i, o := range c.osds {
+		d := f.osds[i]
+		ssd := o.SSD.Clone(d.SSD)
+		st, tk := o.Store.Clone(ssd, d.Store), o.Tracker.Clone(d.Tracker)
+		*d = *o
+		d.SSD, d.Store, d.Tracker = ssd, st, tk
+	}
+	// Size the sample buffer for the whole run, as prepare does.
+	resp := f.respAll.Buffer()
+	if cap(resp) < c.totalOps {
+		resp = make([]float64, 0, c.totalOps)
 	}
 	f.respAll = c.respAll.Clone(resp)
 	f.copyStreams(c)

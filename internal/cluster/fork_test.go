@@ -121,8 +121,10 @@ func TestForkContinuesLikeTheOriginal(t *testing.T) {
 // TestForkedPrefixServesEveryPolicy pauses a baseline run at its
 // prefix boundary and continues four forks of it concurrently, each
 // retargeted to one of the four systems: each must give that system's
-// unforked result bytes, and the paused template must export the same
-// state after the forks ran as before.
+// unforked result bytes, and the paused original must export the same
+// state after the forks ran as before. So the original, retargeted, may
+// continue unverified as a cell's last sibling, and it must then give
+// that system's bytes too.
 func TestForkedPrefixServesEveryPolicy(t *testing.T) {
 	ctx := context.Background()
 	tr := tinyTrace(t, 12)
@@ -130,14 +132,14 @@ func TestForkedPrefixServesEveryPolicy(t *testing.T) {
 	for i, p := range forkPolicies {
 		want[i] = resultBytes(buildFor(t, p, tr).Run())
 	}
-	tmpl := buildFor(t, forkPolicies[0], tr)
-	if err := tmpl.RunPrefix(ctx); err != nil {
+	orig := buildFor(t, forkPolicies[0], tr)
+	if err := orig.RunPrefix(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if half := tmpl.totalOps / 2; tmpl.completedOps != half-1 {
-		t.Fatalf("prefix paused with %d operations complete, want %d", tmpl.completedOps, half-1)
+	if half := orig.totalOps / 2; orig.completedOps != half-1 {
+		t.Fatalf("prefix paused with %d operations complete, want %d", orig.completedOps, half-1)
 	}
-	before := tmpl.ExportState()
+	before := orig.ExportState()
 
 	got := make([]string, len(forkPolicies))
 	var wg sync.WaitGroup
@@ -146,7 +148,7 @@ func TestForkedPrefixServesEveryPolicy(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				f, err := tmpl.Fork(&Scratch{})
+				f, err := orig.Fork(&Scratch{})
 				if err == nil {
 					err = f.Retarget(p.mode, p.planner())
 				}
@@ -164,8 +166,15 @@ func TestForkedPrefixServesEveryPolicy(t *testing.T) {
 			}
 		}
 	}
-	if diffs := tmpl.ExportState().Diff(before); len(diffs) > 0 {
-		t.Fatalf("forks changed the template:\n  %s", strings.Join(diffs, "\n  "))
+	if diffs := orig.ExportState().Diff(before); len(diffs) > 0 {
+		t.Fatalf("forks changed the original:\n  %s", strings.Join(diffs, "\n  "))
+	}
+	last := forkPolicies[3]
+	if err := orig.Retarget(last.mode, last.planner()); err != nil {
+		t.Fatal(err)
+	}
+	if got := resultBytes(orig.ContinueContext(ctx)); got != want[3] {
+		t.Errorf("the original continued as %s: result differs from the unforked run", last.name)
 	}
 }
 

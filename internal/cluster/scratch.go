@@ -1,21 +1,26 @@
 package cluster
 
 import (
+	"edm/internal/flash"
 	"edm/internal/migration"
+	"edm/internal/object"
 	"edm/internal/raid"
 	"edm/internal/sim"
+	"edm/internal/temperature"
 )
 
 // Scratch carries the reusable per-run buffers of a finished cluster to
 // the next one: RAID access scratch, the pooled operation-completion
 // records, the response-histogram sample buffer, the stream-sharding
-// index arrays, and the migration-snapshot and state-export arenas.
-// Repeated runs in an experiment sweep reach steady state without
-// re-growing any of them.
+// index arrays, the migration-snapshot and state-export arenas, and the
+// devices (SSD tables, store and tracker columns). Repeated runs in an
+// experiment sweep reach steady state without re-growing any of them.
 //
 // A Scratch is owned by exactly one run at a time (hand it to
-// Config.Scratch, recover it with Cluster.Release); the experiment
-// harness cycles them through a sync.Pool across its worker pool.
+// Config.Scratch or Fork, recover it with Cluster.Release), so each
+// buffer belongs to one idle Scratch or one live cluster, and a
+// released one reaches no cluster. The experiment harness cycles them
+// through a sync.Pool across its worker pool.
 type Scratch struct {
 	accsBuf  []raid.Access
 	groupBuf []raid.Access
@@ -34,6 +39,7 @@ type Scratch struct {
 	snapObjs   []migration.ObjectInfo
 	planSnap   migration.Snapshot
 	queueBuf   []sim.QueueEntry
+	devs       []*OSD
 }
 
 // scratch embeds Scratch in Cluster under an unexported name.
@@ -51,12 +57,38 @@ func (c *Cluster) adopt(s *Scratch) {
 	c.resp, c.streams = nil, c.streams[:0]
 }
 
-// Release surrenders the cluster's (possibly grown) scratch buffers for
-// reuse by a subsequent run. Call it only after Run has returned and the
-// Result has been read; the cluster must not be used afterwards.
+// recycleOSDs returns n OSDs for the cluster to overwrite: the donated
+// devices first, with those a smaller cluster left beyond the slice's
+// length, then new, empty ones.
+func (c *Cluster) recycleOSDs(n int) []*OSD {
+	osds := append(c.devs[:min(n, cap(c.devs))], make([]*OSD, max(n-cap(c.devs), 0))...)
+	for i, o := range osds {
+		if o == nil {
+			osds[i] = &OSD{SSD: &flash.SSD{}, Store: &object.Store{}, Tracker: &temperature.Tracker{}}
+		}
+	}
+	c.devs = nil
+	return osds
+}
+
+// Release surrenders the cluster's (possibly grown) scratch buffers and
+// its devices for reuse by a subsequent run. Call it only after Run has
+// returned and the Result has been read; the cluster must not be used
+// afterwards. The pooled records, stream and arrival entries, planner
+// snapshot and SSD probes drop their pointers into the cluster.
 func (c *Cluster) Release() *Scratch {
 	s := c.scratch
-	s.resp = c.respAll.Buffer()
 	c.scratch = Scratch{}
+	s.resp = c.respAll.Buffer()
+	s.devs, c.osds = c.osds, nil
+	for _, o := range s.devs {
+		o.SSD.SetProbe(nil)
+	}
+	for _, d := range s.donePool {
+		d.c = nil
+	}
+	clear(s.streams[:cap(s.streams)])
+	clear(s.arrivals[:cap(s.arrivals)])
+	s.planSnap.Recorder = nil
 	return &s
 }

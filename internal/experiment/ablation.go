@@ -50,16 +50,26 @@ func (r *AblationResult) Format() string {
 	return b.String()
 }
 
-// ablationRun executes spec on home02 with 16 OSDs. Periodic-trigger
+// ablationRun executes spec on home02 with 16 OSDs.
+func ablationRun(opts Options, label string, spec edm.Spec) AblationRow {
+	out, err := run(opts, "ablation."+label, ablationSpec(spec), nil)
+	return ablationRow(label, out, err)
+}
+
+// ablationSpec places spec on home02 with 16 OSDs. Periodic-trigger
 // runs compress the wear monitor's cadence to match the scaled replay's
 // virtual timescale (the paper's one-minute cadence is calibrated to a
 // multi-hour replay).
-func ablationRun(opts Options, label string, spec edm.Spec) AblationRow {
+func ablationSpec(spec edm.Spec) edm.Spec {
 	spec.Workload, spec.OSDs = "home02", 16
 	if spec.MigrationMode != nil && *spec.MigrationMode == cluster.MigratePeriodic {
 		spec.Cluster.TemperatureInterval = sim.Second
 	}
-	out, err := run(opts, "ablation."+label, spec)
+	return spec
+}
+
+// ablationRow summarises a run's outcome as the row labelled label.
+func ablationRow(label string, out *edm.Result, err error) AblationRow {
 	if err != nil {
 		return AblationRow{Label: label, Err: err}
 	}
@@ -156,16 +166,15 @@ func AblationCDFCutoff(opts Options) *AblationResult {
 	}
 	cutoffs := []float64{0.01, 0.25, 0.5, 0.65}
 	rows := make([]AblationRow, len(cutoffs))
-	jobs := make([]func(), len(cutoffs))
+	sibs := make([]sibling, len(cutoffs))
 	for i, c := range cutoffs {
-		jobs[i] = func() {
-			cfg := migration.DefaultConfig()
-			cfg.MinSourceUtilization = c
-			rows[i] = ablationRun(opts, fmt.Sprintf("cutoff=%.2f", c),
-				edm.Spec{Policy: CDF, MigrationConfig: &cfg})
-		}
+		cfg := migration.DefaultConfig()
+		cfg.MinSourceUtilization = c
+		label := fmt.Sprintf("cutoff=%.2f", c)
+		sibs[i] = sibling{"ablation." + label, ablationSpec(edm.Spec{Policy: CDF, MigrationConfig: &cfg}),
+			func(out *edm.Result, err error) { rows[i] = ablationRow(label, out, err) }}
 	}
-	pool(opts.Parallelism, jobs)
+	runCells(opts, [][]sibling{sibs})
 	res.Rows = rows
 	return res
 }

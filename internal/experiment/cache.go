@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"sync"
 
 	"edm"
@@ -19,57 +20,65 @@ type traceKey struct {
 	seed  uint64
 }
 
+// traceEntry is one memoized trace; done is closed once tr and err are
+// set, so callers that miss one key together wait for one generation.
+type traceEntry struct {
+	key  traceKey
+	done chan struct{}
+	tr   *trace.Trace
+	err  error
+}
+
 var (
 	traceMu    sync.Mutex
-	traceCache = map[traceKey]*trace.Trace{}
-	traceOrder []traceKey // traceCache's keys, oldest first
+	traceCache []*traceEntry // newest last
 )
 
 // traceCacheLimit bounds the memoized traces, dropping the oldest
-// first. Every experiment at one scale and seed touches eight traces
-// (the seven Table I profiles and Fig. 3's random one), and a sweep
-// over seeds never returns to an earlier seed's traces, so holding more
-// only holds memory: a scale-20 trace set is tens of MB.
-const traceCacheLimit = 8
+// first. Cells run in MatrixSpecs order, trace-major, and a cell's
+// siblings replay the trace its prefix did, so the memo needs the
+// trace of the cell being started and the one before it: two, in a
+// one-cell-at-a-time sweep. A scale-20 trace set is tens of MB, and a
+// scale-1 one hundreds.
+const traceCacheLimit = 2
+
+// generate is edm.BuildTrace; tests count generations through it.
+var generate = edm.BuildTrace
 
 // buildTrace materialises a named workload at the experiment scale and
 // seed, memoizing the result: the matrix replays one generated trace
 // under many policies and cluster sizes, and replay never mutates it.
+// Concurrent callers of one key get one pointer from one generation.
 func buildTrace(name string, opts Options) (*trace.Trace, error) {
 	key := traceKey{name: name, scale: opts.Scale, seed: opts.Seed}
 	traceMu.Lock()
-	tr := traceCache[key]
+	i := slices.IndexFunc(traceCache, func(e *traceEntry) bool { return e.key == key })
+	if i >= 0 {
+		e := traceCache[i]
+		traceMu.Unlock()
+		<-e.done
+		return e.tr, e.err
+	}
+	e := &traceEntry{key: key, done: make(chan struct{})}
+	if len(traceCache) == traceCacheLimit {
+		traceCache = slices.Delete(traceCache, 0, 1)
+	}
+	traceCache = append(traceCache, e)
 	traceMu.Unlock()
-	if tr != nil {
-		return tr, nil
+
+	e.tr, e.err = generate(edm.Spec{Workload: name, Scale: opts.Scale, Seed: opts.Seed})
+	close(e.done)
+	if e.err != nil {
+		traceMu.Lock()
+		traceCache = slices.DeleteFunc(traceCache, func(o *traceEntry) bool { return o == e })
+		traceMu.Unlock()
 	}
-	tr, err := edm.BuildTrace(edm.Spec{Workload: name, Scale: opts.Scale, Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	traceMu.Lock()
-	if _, ok := traceCache[key]; !ok {
-		if len(traceOrder) == traceCacheLimit {
-			delete(traceCache, traceOrder[0])
-			traceOrder = traceOrder[1:]
-		}
-		traceCache[key] = tr
-		traceOrder = append(traceOrder, key)
-	}
-	traceMu.Unlock()
-	return tr, nil
+	return e.tr, e.err
 }
 
-// prefixMemo shares the policy-independent first half of sibling runs
-// (edm.PrefixMemo): a cell's four policies replay one trace on one
-// cluster and diverge only at the midpoint shuffle, so the first of
-// them to reach the midpoint publishes a template there and the others
-// continue forks of it. The memo keys on the trace pointer, which is
-// why it sits next to the trace memo.
-var prefixMemo edm.PrefixMemo
-
-// scratchPool recycles per-run hot-path buffers (RAID access scratch,
-// completion records, histogram storage) across the worker pool, so a
-// 56-run matrix reuses memory instead of re-growing it 56 times: run
-// donates one to edm.Run, which refills it when the run completes.
+// scratchPool recycles per-run buffers (RAID access scratch, completion
+// records, histogram storage, and the device state of a finished run)
+// across the worker pool, so a 56-run matrix reuses memory instead of
+// re-growing it 56 times: run and startCell donate one, which the run
+// refills when it completes.
 var scratchPool = sync.Pool{New: func() any { return &cluster.Scratch{} }}

@@ -3,9 +3,13 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
+	"edm"
 	"edm/internal/cluster"
 )
 
@@ -97,11 +101,55 @@ func (s CellSpec) options(ctx context.Context) Options {
 // RunCell executes one cell locally. The result is byte-identical to
 // the same cell's slot in Matrix under equivalent Options — RunCell is
 // both the coordinator's graceful-degradation path and the reference
-// a remote execution must reproduce.
+// a remote execution must reproduce. Consecutive calls for the
+// policies of one (trace, cluster size) cell share its prefix (held); a
+// call that arrives while the prefix runs replays its own, not waiting.
 func RunCell(ctx context.Context, s CellSpec) (*cluster.Result, error) {
 	opts := s.options(ctx)
 	spec := paperSpec(s.Trace, s.OSDs, s.Policy, opts)
-	return run(opts, runLabel("cell", spec), spec)
+	label := runLabel("cell", spec)
+	shared, runOpts, _, err := prepare(opts, label, spec)
+	if err != nil {
+		return nil, err
+	}
+	var cell *edm.Cell
+	if key, ok := edm.CellKeyOf(shared, runOpts...); ok {
+		h, first := joinCell(key)
+		if first {
+			h.cell.Store(startCell(ctx, shared, len(AllPolicies)))
+		}
+		cell = h.cell.Load()
+	}
+	return run(opts, label, shared, cell)
+}
+
+// held keeps RunCell's cells between calls: the two newest, each
+// dropped once its last policy has started (taking the original).
+var held struct {
+	sync.Mutex
+	cells []*heldCell // newest last
+}
+
+type heldCell struct {
+	key  edm.CellKey
+	cell atomic.Pointer[edm.Cell] // nil while the prefix runs
+	left int                      // the cell's policies not yet started
+}
+
+// joinCell counts a policy of key's cell, first if it starts the cell.
+func joinCell(key edm.CellKey) (c *heldCell, first bool) {
+	held.Lock()
+	defer held.Unlock()
+	if i := slices.IndexFunc(held.cells, func(c *heldCell) bool { return c.key == key }); i >= 0 {
+		c = held.cells[i]
+	} else {
+		c, first = &heldCell{key: key, left: len(AllPolicies)}, true
+		held.cells = append(slices.Delete(held.cells, 0, max(len(held.cells)-1, 0)), c)
+	}
+	if c.left--; c.left == 0 {
+		held.cells = slices.DeleteFunc(held.cells, func(o *heldCell) bool { return o == c })
+	}
+	return c, first
 }
 
 // Cell packages an execution outcome as the figure-table cell for this

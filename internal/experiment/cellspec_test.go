@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"edm"
@@ -187,5 +189,85 @@ func TestCellAssemblesMatrixSlice(t *testing.T) {
 	}
 	if got, want := Fig5(opts, rebuilt).Format(), Fig5(opts, cells).Format(); got != want {
 		t.Fatalf("fig5 from rebuilt cells differs:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// countCells makes newCell and runSibling count prefixes and sibling
+// runs until the test ends.
+func countCells(t *testing.T) (prefixes, siblings *atomic.Int64) {
+	prefixes, siblings = new(atomic.Int64), new(atomic.Int64)
+	nc, rs := newCell, runSibling
+	t.Cleanup(func() { newCell, runSibling = nc, rs })
+	newCell = func(ctx context.Context, spec edm.Spec, n int, o ...edm.RunOption) (*edm.Cell, error) {
+		prefixes.Add(1)
+		return nc(ctx, spec, n, o...)
+	}
+	runSibling = func(c *edm.Cell, ctx context.Context, spec edm.Spec) (*edm.Result, error) {
+		siblings.Add(1)
+		return rs(c, ctx, spec)
+	}
+	return prefixes, siblings
+}
+
+// TestRunCellSharesOnePrefixPerCell runs a matrix's cells through
+// RunCell one call at a time, in MatrixSpecs order and with two cells'
+// policies interleaved: either way each cell replays one prefix, every
+// policy continues from it, and the holder ends empty. Concurrent calls,
+// as dispatch's local fallback makes, give the same bytes whatever they
+// share.
+func TestRunCellSharesOnePrefixPerCell(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Scale: 400, Seed: 4, OSDCounts: []int{8, 12}, Traces: []string{"home02", "deasna"}}
+	specs := MatrixSpecs(opts)
+	cells := len(specs) / len(AllPolicies)
+	interleaved := make([]CellSpec, 0, len(specs))
+	for i := 0; i < len(specs); i += 2 * len(AllPolicies) {
+		for j := 0; j < len(AllPolicies); j++ {
+			interleaved = append(interleaved, specs[i+j], specs[i+len(AllPolicies)+j])
+		}
+	}
+	want := map[string]string{}
+	for _, order := range [][]CellSpec{specs, interleaved} {
+		held.Lock()
+		held.cells = nil // what earlier tests left
+		held.Unlock()
+		prefixes, siblings := countCells(t)
+		for _, cs := range order {
+			res, err := RunCell(ctx, cs)
+			if err != nil {
+				t.Fatalf("RunCell(%s): %v", cs, err)
+			}
+			got := cellJSON(t, cs.Cell(res, nil))
+			if w, ok := want[cs.Key()]; ok && w != got {
+				t.Fatalf("RunCell(%s) differs between call orders", cs)
+			}
+			want[cs.Key()] = got
+		}
+		if n, m := prefixes.Load(), siblings.Load(); n != int64(cells) || m != int64(len(specs)) {
+			t.Errorf("%d prefixes and %d sibling runs, want %d and %d", n, m, cells, len(specs))
+		}
+		if len(held.cells) != 0 {
+			t.Errorf("the holder keeps %d cells after their last policies ran", len(held.cells))
+		}
+	}
+
+	var wg sync.WaitGroup
+	for _, cs := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := RunCell(ctx, cs)
+			if err != nil {
+				t.Errorf("RunCell(%s): %v", cs, err)
+				return
+			}
+			if got, err := json.Marshal(cs.Cell(res, nil)); err != nil || string(got) != want[cs.Key()] {
+				t.Errorf("concurrent RunCell(%s) differs from the one-call-at-a-time result (%v)", cs, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(held.cells) > 2 {
+		t.Errorf("the holder keeps %d cells, want at most two", len(held.cells))
 	}
 }

@@ -120,19 +120,48 @@ func (o Options) ctx() context.Context {
 }
 
 // pool runs jobs over a bounded worker pool and waits for completion.
-func pool(parallelism int, jobs []func()) {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	sem := make(chan struct{}, parallelism)
+func pool(parallelism int, jobs []func()) { (&queue{jobs: jobs}).run(parallelism) }
+
+// queue is a worker pool whose jobs may push continuations, which run
+// before any job not yet started: so about parallelism cells are in
+// flight, and no worker waits on a prefix.
+type queue struct {
+	mu      sync.Mutex
+	wake    sync.Cond
+	jobs    []func() // not yet started, next first
+	running int
+}
+
+func (q *queue) push(jobs ...func()) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.jobs = append(jobs, q.jobs...)
+	q.wake.Broadcast()
+}
+
+// run returns once every job, continuations included, has finished.
+func (q *queue) run(parallelism int) {
+	q.wake.L = &q.mu
 	var wg sync.WaitGroup
-	for _, job := range jobs {
-		job := job
+	for range max(parallelism, 1) {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
-			defer func() { <-sem; wg.Done() }()
-			job()
+			defer wg.Done()
+			q.mu.Lock()
+			defer q.mu.Unlock()
+			for len(q.jobs) > 0 || q.running > 0 {
+				if len(q.jobs) == 0 {
+					q.wake.Wait()
+					continue
+				}
+				job := q.jobs[0]
+				q.jobs, q.running = q.jobs[1:], q.running+1
+				q.mu.Unlock()
+				job()
+				q.mu.Lock()
+				q.running--
+				q.wake.Broadcast()
+			}
 		}()
 	}
 	wg.Wait()
@@ -153,17 +182,19 @@ type Cell struct {
 // same runs, exactly as in the paper. The grid is the one MatrixSpecs
 // describes, in the same order — a distributed sweep that executes
 // MatrixSpecs remotely and merges by spec reassembles this exact slice.
+// The four policies of a (trace, cluster size) cell share its prefix
+// (runCells).
 func Matrix(opts Options) []Cell {
 	opts = opts.withDefaults()
 	specs := MatrixSpecs(opts)
 	cells := make([]Cell, len(specs))
-	jobs := make([]func(), len(cells))
+	groups := make([][]sibling, len(specs)/len(AllPolicies)) // a cell's policies are consecutive specs
 	for i, s := range specs {
-		c, spec := &cells[i], paperSpec(s.Trace, s.OSDs, s.Policy, opts)
+		c, spec, g := &cells[i], paperSpec(s.Trace, s.OSDs, s.Policy, opts), i/len(AllPolicies)
 		*c = s.Cell(nil, nil)
-		jobs[i] = func() { c.Result, c.Err = run(opts, runLabel("matrix", spec), spec) }
+		groups[g] = append(groups[g], sibling{runLabel("matrix", spec), spec, func(r *cluster.Result, err error) { c.Result, c.Err = r, err }})
 	}
-	pool(opts.Parallelism, jobs)
+	runCells(opts, groups)
 	return cells
 }
 

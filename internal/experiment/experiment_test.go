@@ -4,9 +4,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"edm"
 	"edm/internal/telemetry"
+	"edm/internal/trace"
 )
 
 // fastOpts keeps experiment tests quick: deep scale, one cluster size,
@@ -336,6 +340,45 @@ func TestParseOSDCounts(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("ParseOSDCounts(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestBuildTraceSingleFlight has goroutines miss one key of the trace
+// memo together: they must all get one pointer, from one generation.
+func TestBuildTraceSingleFlight(t *testing.T) {
+	var generations atomic.Int64
+	gen := generate
+	defer func() { generate = gen }()
+	generate = func(spec edm.Spec) (*trace.Trace, error) {
+		generations.Add(1)
+		return gen(spec)
+	}
+	traceMu.Lock()
+	traceCache = nil // a miss, whatever earlier tests memoized
+	traceMu.Unlock()
+	opts := Options{Scale: 400, Seed: 991}
+	const n = 8
+	got := make([]*trace.Trace, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := buildTrace("home03", opts)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = tr
+		}()
+	}
+	wg.Wait()
+	if g := generations.Load(); g != 1 {
+		t.Errorf("%d goroutines missing one key generated the trace %d times, want once", n, g)
+	}
+	for i, tr := range got {
+		if tr == nil || tr != got[0] {
+			t.Fatalf("goroutine %d got trace %p, goroutine 0 got %p", i, tr, got[0])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"edm"
 	"edm/internal/metrics"
 	"edm/internal/sim"
 	"edm/internal/trace"
@@ -105,7 +106,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 		i, name := i, name
 		jobs[i] = func() {
 			spec := paperSpec(name, res.OSDs, Baseline, opts)
-			out, err := run(opts, runLabel("fig1", spec), spec)
+			out, err := run(opts, runLabel("fig1", spec), spec, nil)
 			if err != nil {
 				errs[i] = err
 				return
@@ -301,21 +302,18 @@ func Fig7(opts Options) (*Fig7Result, error) {
 		err error
 	}
 	slots := make([]slot, len(traces)*len(policies))
-	var jobs []func()
-	idx := 0
-	for _, tr := range traces {
-		for _, p := range policies {
-			i, tr, p := idx, tr, p
-			idx++
-			jobs = append(jobs, func() {
-				// The paper buckets by 3 real minutes over a multi-hour
-				// replay (~1/150 of the run); the scaled replay gets a
-				// proportionally fine bucket.
-				spec := paperSpec(tr, res.OSDs, p, opts)
-				spec.Cluster.ResponseBucket = sim.Second / 2
-				out, err := run(opts, runLabel("fig7", spec), spec)
+	groups := make([][]sibling, len(traces))
+	for t, tr := range traces {
+		for j, p := range policies {
+			// The paper buckets by 3 real minutes over a multi-hour
+			// replay (~1/150 of the run); the scaled replay gets a
+			// proportionally fine bucket.
+			spec := paperSpec(tr, res.OSDs, p, opts)
+			spec.Cluster.ResponseBucket = sim.Second / 2
+			sl := &slots[t*len(policies)+j]
+			groups[t] = append(groups[t], sibling{runLabel("fig7", spec), spec, func(out *edm.Result, err error) {
 				if err != nil {
-					slots[i].err = err
+					sl.err = err
 					return
 				}
 				s := Fig7Series{
@@ -327,11 +325,11 @@ func Fig7(opts Options) (*Fig7Result, error) {
 				for _, pt := range out.ResponseSeries {
 					s.Points = append(s.Points, TimedPoint{TimeSec: pt.Time, MeanSec: pt.Mean, Count: pt.Count})
 				}
-				slots[i].s = s
-			})
+				sl.s = s
+			}})
 		}
 	}
-	pool(opts.Parallelism, jobs)
+	runCells(opts, groups)
 	for _, sl := range slots {
 		if sl.err != nil {
 			return nil, sl.err

@@ -38,7 +38,7 @@ func AblationOpenLoop(opts Options) (*OpenLoopResult, error) {
 	res := &OpenLoopResult{Trace: "home02", OSDs: 16}
 
 	spec := paperSpec(res.Trace, res.OSDs, Baseline, opts)
-	base, err := run(opts, runLabel("openloop", spec), spec)
+	base, err := run(opts, runLabel("openloop", spec), spec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func AblationOpenLoop(opts Options) (*OpenLoopResult, error) {
 			jobs = append(jobs, func() {
 				spec := paperSpec(res.Trace, res.OSDs, p, opts)
 				spec.Cluster.OpenLoopRate = res.BaselineOps * f
-				out, err := run(opts, runLabel("openloop", spec), spec)
+				out, err := run(opts, runLabel("openloop", spec), spec, nil)
 				row := OpenLoopRow{LoadFraction: f, Policy: p, Err: err}
 				if err == nil {
 					row.MeanRTms = out.MeanResponse * 1000

@@ -9,20 +9,17 @@ import (
 )
 
 // TestMatrixSharingIsScheduleIndependent runs the full matrix (seven
-// traces × {16, 20} OSDs × four policies) serially and over four
-// workers, so that different cells publish the prefix templates the
-// others fork, in an order the scheduler picks. Both must give the same
-// cells, each byte-identical to edm.Run of its spec without a memo.
+// traces × {16, 20} OSDs × four policies) over one, two and four
+// workers. At each, every one of the 14 cells must replay its prefix
+// once and continue its four policies from it, so 14 prefixes and 42
+// forks (each cell's last sibling continues the paused original), and
+// every cell must be byte-identical to edm.Run of its spec unshared.
 func TestMatrixSharingIsScheduleIndependent(t *testing.T) {
 	opts := Options{Scale: 400, Seed: 7, Lambda: 0.1}
-	opts.Parallelism = 1
-	serial := Matrix(opts)
-	opts.Parallelism = 4
-	parallel := Matrix(opts)
-	if len(serial) != 56 || len(parallel) != 56 {
-		t.Fatalf("%d and %d cells, want 56", len(serial), len(parallel))
-	}
-	for i, s := range MatrixSpecs(opts) {
+	prefixes, siblings := countCells(t)
+	specs := MatrixSpecs(opts)
+	want := make([]string, len(specs))
+	for i, s := range specs {
 		tr, err := buildTrace(s.Trace, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -33,12 +30,23 @@ func TestMatrixSharingIsScheduleIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := cellJSON(t, Cell{Trace: s.Trace, OSDs: s.OSDs, Policy: s.Policy, Result: res})
-		if got := cellJSON(t, serial[i]); got != want {
-			t.Errorf("%v: serial matrix cell differs from the unshared run", s)
+		want[i] = cellJSON(t, Cell{Trace: s.Trace, OSDs: s.OSDs, Policy: s.Policy, Result: res})
+	}
+	for _, p := range []int{1, 2, 4} {
+		prefixes.Store(0)
+		siblings.Store(0)
+		opts.Parallelism = p
+		cells := Matrix(opts)
+		if len(cells) != 56 {
+			t.Fatalf("parallelism %d: %d cells, want 56", p, len(cells))
 		}
-		if got := cellJSON(t, parallel[i]); got != want {
-			t.Errorf("%v: parallel matrix cell differs from the unshared run", s)
+		if n, m := prefixes.Load(), siblings.Load(); n != 14 || m-n != 42 {
+			t.Errorf("parallelism %d: %d prefixes and %d forks, want 14 and 42", p, n, m-n)
+		}
+		for i, s := range specs {
+			if got := cellJSON(t, cells[i]); got != want[i] {
+				t.Errorf("parallelism %d: %v: matrix cell differs from the unshared run", p, s)
+			}
 		}
 	}
 }

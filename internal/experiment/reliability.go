@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"edm"
 	"edm/internal/lifetime"
 )
 
@@ -60,11 +61,10 @@ func Reliability(opts Options) (*ReliabilityResult, error) {
 	}
 
 	rows := make([]ReliabilityRow, len(AllPolicies))
-	jobs := make([]func(), len(AllPolicies))
+	sibs := make([]sibling, len(AllPolicies))
 	for i, p := range AllPolicies {
-		jobs[i] = func() {
-			spec := paperSpec(res.Trace, res.OSDs, p, opts)
-			out, err := run(opts, runLabel("reliability", spec), spec)
+		spec := paperSpec(res.Trace, res.OSDs, p, opts)
+		sibs[i] = sibling{runLabel("reliability", spec), spec, func(out *edm.Result, err error) {
 			if err != nil {
 				rows[i] = ReliabilityRow{Policy: p, Err: err}
 				return
@@ -98,9 +98,9 @@ func Reliability(opts Options) (*ReliabilityResult, error) {
 				}
 			}
 			rows[i] = row
-		}
+		}}
 	}
-	pool(opts.Parallelism, jobs)
+	runCells(opts, [][]sibling{sibs})
 	for _, r := range rows {
 		if r.Err != nil {
 			return nil, r.Err
@@ -130,7 +130,7 @@ func Reliability(opts Options) (*ReliabilityResult, error) {
 	spec := paperSpec(res.Trace, res.OSDs, HDF, opts)
 	spec.Cluster.GroupRotate = true
 	spec.Cluster.GroupSizes = sizes
-	out, err := run(opts, "reliability.staggered", spec)
+	out, err := run(opts, "reliability.staggered", spec, nil)
 	if err != nil {
 		return nil, err
 	}

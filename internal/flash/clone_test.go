@@ -1,18 +1,17 @@
 package flash
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// TestCloneIsIndependent drives a device through GC, clones it, and
-// requires the copy to digest the same state, to behave the same under
-// the same writes, and to leave the original untouched when it alone
-// is written.
+// TestCloneIsIndependent drives a device through GC, clones it into
+// new buffers and into a larger, written device's, and requires each
+// copy to digest the same state, to behave the same under the same
+// writes, and to leave the original untouched when it alone is written.
 func TestCloneIsIndependent(t *testing.T) {
-	s := tiny(t)
-	r := rand.New(rand.NewSource(1))
 	write := func(d *SSD, r *rand.Rand, n int) {
 		for i := 0; i < n; i++ {
 			if _, err := d.Write(r.Int63n(d.MaxLivePages())); err != nil {
@@ -20,25 +19,61 @@ func TestCloneIsIndependent(t *testing.T) {
 			}
 		}
 	}
-	write(s, r, 500)
-	if s.Stats().Erases == 0 {
-		t.Fatal("no GC before the clone")
+	for _, dst := range []*SSD{nil, worn(t)} {
+		s := tiny(t)
+		write(s, rand.New(rand.NewSource(1)), 500)
+		if s.Stats().Erases == 0 {
+			t.Fatal("no GC before the clone")
+		}
+		c := s.Clone(dst)
+		if c.StateDigest() != s.StateDigest() {
+			t.Fatal("clone digests a different state")
+		}
+		before := s.StateDigest()
+		write(c, rand.New(rand.NewSource(2)), 300)
+		if s.StateDigest() != before {
+			t.Fatal("writing the clone changed the original")
+		}
+		write(s, rand.New(rand.NewSource(2)), 300)
+		if c.StateDigest() != s.StateDigest() {
+			t.Fatal("clone and original diverged under the same writes")
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c := s.Clone()
-	if c.StateDigest() != s.StateDigest() {
-		t.Fatal("clone digests a different state")
-	}
-	before := s.StateDigest()
-	write(c, rand.New(rand.NewSource(2)), 300)
-	if s.StateDigest() != before {
-		t.Fatal("writing the clone changed the original")
-	}
-	write(s, rand.New(rand.NewSource(2)), 300)
-	if c.StateDigest() != s.StateDigest() {
-		t.Fatal("clone and original diverged under the same writes")
-	}
-	if err := c.CheckInvariants(); err != nil {
+}
+
+// worn is a device with tiny's block size and more blocks, written
+// through GC: a donated buffer set whose every table is at least as
+// long as the copy put into it and full of other contents.
+func worn(t *testing.T) *SSD {
+	t.Helper()
+	s, err := New(Config{PageSize: 4096, PagesPerBlock: 8, Blocks: 40, GCLowBlocks: 2, GCHighBlocks: 4})
+	if err != nil {
 		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		if _, err := s.Write(r.Int63n(s.MaxLivePages())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestResetIsNew requires Reset of a worn device to build exactly the
+// device New does, and to reuse its buffers.
+func TestResetIsNew(t *testing.T) {
+	s := worn(t)
+	l2p := &s.l2p[0]
+	want := tiny(t)
+	if err := s.Reset(want.Config()); err != nil {
+		t.Fatal(err)
+	}
+	requireSameElements(t, want, s, ssdFields)
+	if &s.l2p[0] != l2p {
+		t.Error("Reset allocated a new mapping table where the old one was large enough")
 	}
 }
 
@@ -75,7 +110,13 @@ func TestFieldsAreClassified(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	requireNoSharedMemory(t, s, s.Clone(), ssdFields)
+	requireNoSharedMemory(t, s, s.Clone(nil), ssdFields)
+	c := s.Clone(worn(t))
+	requireNoSharedMemory(t, s, c, ssdFields)
+	requireSameElements(t, s, c, ssdFields)
+	if n := testing.AllocsPerRun(10, func() { s.Clone(c) }); n != 0 {
+		t.Errorf("a clone into a large enough device allocated %v times", n)
+	}
 }
 
 // sharesMemory reports whether a and b, two values of one type, hold
@@ -126,6 +167,24 @@ func requireNoSharedMemory(t *testing.T, orig, clone any, fields map[string]stri
 		name := ov.Type().Field(i).Name
 		if fields[name] != fieldConfig && sharesMemory(ov.Field(i), cv.Field(i)) {
 			t.Errorf("clone shares %s with its original", name)
+		}
+	}
+}
+
+// requireSameElements fails when a cloned or sealed field of the struct
+// that got points to differs from want's in any element: a copy into
+// donated buffers must leave none of their old contents behind. Nil and
+// empty slices count as equal.
+func requireSameElements(t *testing.T, want, got any, fields map[string]string) {
+	t.Helper()
+	wv, gv := reflect.ValueOf(want).Elem(), reflect.ValueOf(got).Elem()
+	for i := 0; i < wv.NumField(); i++ {
+		name := wv.Type().Field(i).Name
+		if fields[name] == fieldProbe || fields[name] == fieldConfig && wv.Field(i).Kind() == reflect.Pointer {
+			continue
+		}
+		if w, g := fmt.Sprint(wv.Field(i)), fmt.Sprint(gv.Field(i)); w != g {
+			t.Errorf("%s differs:\n  got  %.200s\n  want %.200s", name, g, w)
 		}
 	}
 }

@@ -251,18 +251,29 @@ type SSD struct {
 // page count; callers are responsible for keeping live data below
 // MaxLivePages to leave GC headroom.
 func New(cfg Config) (*SSD, error) {
-	cfg.applyDefaults()
-	if err := cfg.Validate(); err != nil {
+	s := &SSD{}
+	if err := s.Reset(cfg); err != nil {
 		return nil, err
 	}
-	total := int64(cfg.Blocks) * int64(cfg.PagesPerBlock)
-	s := &SSD{
+	return s, nil
+}
+
+// Reset makes s the fresh device New(cfg) builds, in s's buffers where
+// they are large enough. Its probe is removed.
+func (s *SSD) Reset(cfg Config) error {
+	cfg.applyDefaults()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	total := cfg.Blocks * cfg.PagesPerBlock
+	*s = SSD{
 		cfg:        cfg,
-		totalPages: total,
-		l2p:        make([]int64, total),
-		p2l:        make([]int64, total),
-		blocks:     make([]block, cfg.Blocks),
-		buckets:    make([][]int32, cfg.PagesPerBlock+1),
+		totalPages: int64(total),
+		l2p:        slices.Grow(s.l2p[:0], total)[:total],
+		p2l:        slices.Grow(s.p2l[:0], total)[:total],
+		blocks:     slices.Grow(s.blocks[:0], cfg.Blocks)[:cfg.Blocks],
+		free:       slices.Grow(s.free[:0], cfg.Blocks),
+		buckets:    slices.Grow(s.buckets[:0], cfg.PagesPerBlock+1)[:cfg.PagesPerBlock+1],
 	}
 	for i := range s.l2p {
 		s.l2p[i] = unmapped
@@ -270,8 +281,11 @@ func New(cfg Config) (*SSD, error) {
 	for i := range s.p2l {
 		s.p2l[i] = invalidPPA
 	}
+	clear(s.blocks)
+	for i := range s.buckets {
+		s.buckets[i] = s.buckets[i][:0]
+	}
 	// Free list: descending so block 0 becomes the first active block.
-	s.free = make([]int32, 0, cfg.Blocks)
 	for i := cfg.Blocks - 1; i >= 0; i-- {
 		s.free = append(s.free, int32(i))
 	}
@@ -282,25 +296,30 @@ func New(cfg Config) (*SSD, error) {
 		s.gcActive = s.popFree()
 		s.blocks[s.gcActive].state = blockActive
 	}
-	return s, nil
+	return nil
 }
 
 // Clone returns a deep copy of the device: mapping tables, block
-// metadata, free list, frontiers, GC buckets in order, and counters. s
-// is only read, the copy shares no memory with it, and the copy has no
-// probe.
-func (s *SSD) Clone() *SSD {
-	c := *s
-	c.l2p = slices.Clone(s.l2p)
-	c.p2l = slices.Clone(s.p2l)
-	c.blocks = slices.Clone(s.blocks)
-	c.free = append(make([]int32, 0, cap(s.free)), s.free...)
-	c.buckets = make([][]int32, len(s.buckets))
-	for i, b := range s.buckets {
-		c.buckets[i] = slices.Clone(b)
+// metadata, free list, frontiers, GC buckets in order, and counters, in
+// dst's buffers when dst is non-nil (dst is overwritten, so it must
+// belong to no live device) and in new ones otherwise. s is only read,
+// the copy shares no memory with it, and the copy has no probe.
+func (s *SSD) Clone(dst *SSD) *SSD {
+	if dst == nil {
+		dst = &SSD{}
 	}
-	c.probe = nil
-	return &c
+	old := *dst
+	*dst = *s
+	dst.l2p = append(old.l2p[:0], s.l2p...)
+	dst.p2l = append(old.p2l[:0], s.p2l...)
+	dst.blocks = append(old.blocks[:0], s.blocks...)
+	dst.free = append(slices.Grow(old.free[:0], cap(s.free)), s.free...)
+	dst.buckets = slices.Grow(old.buckets[:0], len(s.buckets))[:len(s.buckets)]
+	for i, b := range s.buckets {
+		dst.buckets[i] = append(dst.buckets[i][:0], b...)
+	}
+	dst.probe = nil
+	return dst
 }
 
 // MustNew is New for tests and examples with known-good configs.

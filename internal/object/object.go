@@ -79,43 +79,57 @@ type Store struct {
 // NewStore wraps an SSD. The usable logical space is the SSD's
 // MaxLivePages, keeping GC headroom out of reach of object allocation.
 func NewStore(ssd *flash.SSD) *Store {
-	return &Store{
-		ssd:      ssd,
-		pageSize: ssd.Config().PageSize,
-		byID:     make(map[ID]Index),
-		free:     []extent{{start: 0, pages: ssd.MaxLivePages()}},
-	}
+	st := &Store{}
+	st.Reset(ssd)
+	return st
+}
+
+// Reset makes st the empty store NewStore(ssd) builds, in st's buffers.
+func (st *Store) Reset(ssd *flash.SSD) {
+	empty := Store{pageSize: ssd.Config().PageSize, free: []extent{{start: 0, pages: ssd.MaxLivePages()}}}
+	empty.Clone(ssd, st)
 }
 
 // Clone returns a deep copy of the store bound to ssd, which must be a
-// copy of st's device (flash.SSD.Clone). st is only read: the id-sorted
-// cache is copied when it is valid and otherwise left for the copy to
-// fill, and the copy shares no memory with st.
-func (st *Store) Clone(ssd *flash.SSD) *Store {
-	c := &Store{
+// copy of st's device (flash.SSD.Clone), in dst's buffers when dst is
+// non-nil (dst is overwritten, so it must belong to no live store) and
+// in new ones otherwise. st is only read: the id-sorted cache is copied
+// when it is valid and otherwise left for the copy to fill, and the
+// copy shares no memory with st.
+func (st *Store) Clone(ssd *flash.SSD, dst *Store) *Store {
+	if dst == nil {
+		dst = &Store{}
+	}
+	if dst.byID == nil {
+		dst.byID = make(map[ID]Index, len(st.byID))
+	}
+	clear(dst.byID)
+	maps.Copy(dst.byID, st.byID)
+	spill := slices.Grow(dst.spill[:0], len(st.spill))[:len(st.spill)]
+	for i, sp := range st.spill {
+		spill[i] = append(spill[i][:0], sp...)
+	}
+	*dst = Store{
 		ssd:       ssd,
 		pageSize:  st.pageSize,
-		ids:       slices.Clone(st.ids),
-		sizes:     slices.Clone(st.sizes),
-		npages:    slices.Clone(st.npages),
-		ext0:      slices.Clone(st.ext0),
-		spill:     make([][]extent, len(st.spill)),
-		inUse:     slices.Clone(st.inUse),
-		byID:      maps.Clone(st.byID),
-		freeSlots: slices.Clone(st.freeSlots),
+		ids:       append(dst.ids[:0], st.ids...),
+		sizes:     append(dst.sizes[:0], st.sizes...),
+		npages:    append(dst.npages[:0], st.npages...),
+		ext0:      append(dst.ext0[:0], st.ext0...),
+		spill:     spill,
+		inUse:     append(dst.inUse[:0], st.inUse...),
+		byID:      dst.byID,
+		freeSlots: append(dst.freeSlots[:0], st.freeSlots...),
 		live:      st.live,
-		free:      slices.Clone(st.free),
+		sorted:    dst.sorted[:0],
+		free:      append(dst.free[:0], st.free...),
 		usedPgs:   st.usedPgs,
-	}
-	for i, sp := range st.spill {
-		if len(sp) > 0 {
-			c.spill[i] = slices.Clone(sp)
-		}
+		allocBuf:  dst.allocBuf[:0],
 	}
 	if st.sortedOK {
-		c.sorted, c.sortedOK = slices.Clone(st.sorted), true
+		dst.sorted, dst.sortedOK = append(dst.sorted, st.sorted...), true
 	}
-	return c
+	return dst
 }
 
 // SSD returns the underlying device.

@@ -6,17 +6,48 @@ import (
 	"testing/quick"
 )
 
-// Place returns the home SSDs of a file's k objects, one HomeOf call
-// each: the per-file form the placement properties are stated in.
+// Place returns the home SSDs of a file's k objects: a reference for
+// HomeOf written out from the paper's §III.A rule, sharing none of its
+// code. Object idx of a file goes on SSD (inode mod n + idx) mod n in
+// consecutive mode; in group-rotate mode it goes into group
+// (inode + idx) mod m, on member inode mod |group| of the group's
+// ascending member list.
 func (l Layout) Place(inode int64) []int {
 	if inode < 0 {
 		panic(fmt.Sprintf("placement: negative inode %d", inode))
 	}
+	groups := l.refGroups()
 	out := make([]int, l.K)
-	for i := 0; i < l.K; i++ {
-		out[i] = l.HomeOf(inode, i)
+	for idx := range out {
+		if l.Mode == ModeGroupRotate {
+			g := groups[(inode+int64(idx))%int64(l.M)]
+			out[idx] = g[inode%int64(len(g))]
+		} else {
+			out[idx] = int((inode%int64(l.N) + int64(idx)) % int64(l.N))
+		}
 	}
 	return out
+}
+
+// refGroups lists each group's SSDs in ascending order, built
+// explicitly: with Sizes, group g holds the next Sizes[g] consecutive
+// SSDs; without, SSD s is in group s mod m.
+func (l Layout) refGroups() [][]int {
+	groups := make([][]int, l.M)
+	if len(l.Sizes) > 0 {
+		s := 0
+		for g, size := range l.Sizes {
+			for ; size > 0; size-- {
+				groups[g] = append(groups[g], s)
+				s++
+			}
+		}
+		return groups
+	}
+	for s := 0; s < l.N; s++ {
+		groups[s%l.M] = append(groups[s%l.M], s)
+	}
+	return groups
 }
 
 func TestValidate(t *testing.T) {
@@ -113,16 +144,51 @@ func TestPlaceConsecutive(t *testing.T) {
 	}
 }
 
+// TestHomeOfAgreesWithPlace checks HomeOf against the §III.A reference
+// (Place) for modular layouts in both modes, one whose n is no multiple
+// of m, and a sized layout, and requires each file's k objects to land
+// in k distinct groups of the reference's member lists.
 func TestHomeOfAgreesWithPlace(t *testing.T) {
-	l := Layout{N: 20, M: 4, K: 4}
-	for inode := int64(0); inode < 100; inode++ {
-		p := l.Place(inode)
-		for idx := range p {
-			if l.HomeOf(inode, idx) != p[idx] {
-				t.Fatalf("HomeOf(%d,%d) disagrees with Place", inode, idx)
+	for _, l := range []Layout{
+		{N: 16, M: 4, K: 4},
+		{N: 20, M: 4, K: 4},
+		{N: 16, M: 4, K: 4, Mode: ModeGroupRotate},
+		{N: 20, M: 4, K: 3, Mode: ModeGroupRotate},
+		{N: 18, M: 4, K: 4, Mode: ModeGroupRotate},
+		{N: 20, M: 4, K: 4, Mode: ModeGroupRotate, Sizes: []int{3, 5, 6, 6}},
+	} {
+		if err := l.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		groupOf := map[int]int{}
+		for g, members := range l.refGroups() {
+			for _, s := range members {
+				groupOf[s] = g
+			}
+		}
+		for _, inode := range append(seq(500), 1<<40+7, 1<<62-1) {
+			p := l.Place(inode)
+			seen := map[int]bool{}
+			for idx, s := range p {
+				if got := l.HomeOf(inode, idx); got != s {
+					t.Fatalf("%+v: HomeOf(%d, %d) = %d, the §III.A rule gives %d", l, inode, idx, got, s)
+				}
+				if seen[groupOf[s]] {
+					t.Fatalf("%+v: file %d has two objects in group %d: %v", l, inode, groupOf[s], p)
+				}
+				seen[groupOf[s]] = true
 			}
 		}
 	}
+}
+
+// seq returns 0..n-1 as inodes.
+func seq(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(i)
+	}
+	return out
 }
 
 func TestSameGroup(t *testing.T) {

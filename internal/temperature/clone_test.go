@@ -1,38 +1,64 @@
 package temperature
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"edm/internal/sim"
 )
 
+// TestCloneIsIndependent clones a tracker into new columns and into a
+// longer tracker's: each copy must digest the same, behave the same,
+// and leave the original untouched when it alone changes.
 func TestCloneIsIndependent(t *testing.T) {
-	tr := New(sim.Minute)
-	for s := Slot(0); s < 4; s++ {
-		tr.InstallAt(s, ObjectID(s+10))
-		tr.TouchWrite(s, int(s)+1, sim.Time(s)*sim.Minute)
+	for _, dst := range []*Tracker{nil, longTracker()} {
+		tr := New(sim.Minute)
+		for s := Slot(0); s < 4; s++ {
+			tr.InstallAt(s, ObjectID(s+10))
+			tr.TouchWrite(s, int(s)+1, sim.Time(s)*sim.Minute)
+		}
+		tr.ForgetAt(2)
+		digest := func(x *Tracker) uint64 { return x.StateDigest() }
+		c := tr.Clone(dst)
+		if digest(c) != digest(tr) {
+			t.Fatal("clone digests differ")
+		}
+		before := digest(tr)
+		mutate := func(x *Tracker) {
+			x.TouchRead(1, 7, 9*sim.Minute)
+			x.InstallAt(5, 99)
+			x.ResetWindow()
+		}
+		mutate(c)
+		if digest(tr) != before {
+			t.Fatal("changing the clone changed the original")
+		}
+		mutate(tr)
+		if digest(c) != digest(tr) {
+			t.Fatal("clone and original diverged under the same changes")
+		}
 	}
-	tr.ForgetAt(2)
-	digest := func(x *Tracker) uint64 { return x.StateDigest() }
-	c := tr.Clone()
-	if digest(c) != digest(tr) {
-		t.Fatal("clone digests differ")
+}
+
+// longTracker has more rows, all touched, than the tests' clones: a
+// donated column set longer than any copy put into it.
+func longTracker() *Tracker {
+	tr := New(sim.Second)
+	for s := Slot(0); s < 12; s++ {
+		tr.InstallAt(s, ObjectID(s+100))
+		tr.TouchWrite(s, 3, sim.Time(s)*sim.Second)
+		tr.TouchRead(s, 2, sim.Time(s)*sim.Second)
 	}
-	before := digest(tr)
-	mutate := func(x *Tracker) {
-		x.TouchRead(1, 7, 9*sim.Minute)
-		x.InstallAt(5, 99)
-		x.ResetWindow()
-	}
-	mutate(c)
-	if digest(tr) != before {
-		t.Fatal("changing the clone changed the original")
-	}
-	mutate(tr)
-	if digest(c) != digest(tr) {
-		t.Fatal("clone and original diverged under the same changes")
-	}
+	return tr
+}
+
+// TestResetIsNew requires Reset of a used tracker to build exactly the
+// tracker New does.
+func TestResetIsNew(t *testing.T) {
+	tr := longTracker()
+	tr.Reset(sim.Minute)
+	requireSameElements(t, New(sim.Minute), tr, trackerFields)
 }
 
 // The roles of a field in Clone and StateDigest.
@@ -59,7 +85,10 @@ func TestFieldsAreClassified(t *testing.T) {
 		tr.InstallAt(s, ObjectID(s+10))
 		tr.TouchWrite(s, 1, 0)
 	}
-	requireNoSharedMemory(t, tr, tr.Clone(), trackerFields)
+	requireNoSharedMemory(t, tr, tr.Clone(nil), trackerFields)
+	c := tr.Clone(longTracker())
+	requireNoSharedMemory(t, tr, c, trackerFields)
+	requireSameElements(t, tr, c, trackerFields)
 }
 
 // sharesMemory reports whether a and b, two values of one type, hold
@@ -110,6 +139,24 @@ func requireNoSharedMemory(t *testing.T, orig, clone any, fields map[string]stri
 		name := ov.Type().Field(i).Name
 		if fields[name] != fieldConfig && sharesMemory(ov.Field(i), cv.Field(i)) {
 			t.Errorf("clone shares %s with its original", name)
+		}
+	}
+}
+
+// requireSameElements fails when a cloned or sealed field of the struct
+// that got points to differs from want's in any element: a copy into
+// donated buffers must leave none of their old contents behind. Nil and
+// empty slices count as equal.
+func requireSameElements(t *testing.T, want, got any, fields map[string]string) {
+	t.Helper()
+	wv, gv := reflect.ValueOf(want).Elem(), reflect.ValueOf(got).Elem()
+	for i := 0; i < wv.NumField(); i++ {
+		name := wv.Type().Field(i).Name
+		if fields[name] == fieldProbe || fields[name] == fieldConfig && wv.Field(i).Kind() == reflect.Pointer {
+			continue
+		}
+		if w, g := fmt.Sprint(wv.Field(i)), fmt.Sprint(gv.Field(i)); w != g {
+			t.Errorf("%s differs:\n  got  %.200s\n  want %.200s", name, g, w)
 		}
 	}
 }

@@ -30,7 +30,6 @@ package temperature
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"edm/internal/sim"
 )
@@ -70,29 +69,42 @@ type Tracker struct {
 
 // New returns a tracker with the given decay interval.
 func New(interval sim.Time) *Tracker {
+	t := &Tracker{}
+	t.Reset(interval)
+	return t
+}
+
+// Reset makes t the empty tracker New(interval) returns, in t's columns.
+func (t *Tracker) Reset(interval sim.Time) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("temperature: non-positive interval %v", interval))
 	}
-	return &Tracker{interval: interval}
+	(&Tracker{interval: interval}).Clone(t)
 }
 
-// Clone returns a deep copy of the tracker. t is only read (no row is
+// Clone returns a deep copy of the tracker, in dst's columns when dst
+// is non-nil (dst is overwritten, so it must belong to no live tracker)
+// and in new ones otherwise. t is only read (no row is
 // brought forward), and the copy shares no memory with it.
-func (t *Tracker) Clone() *Tracker {
-	return &Tracker{
+func (t *Tracker) Clone(dst *Tracker) *Tracker {
+	if dst == nil {
+		dst = &Tracker{}
+	}
+	*dst = Tracker{
 		interval: t.interval,
-		ids:      slices.Clone(t.ids),
-		used:     slices.Clone(t.used),
-		epoch:    slices.Clone(t.epoch),
-		wTemp:    slices.Clone(t.wTemp),
-		tTemp:    slices.Clone(t.tTemp),
-		wAcc:     slices.Clone(t.wAcc),
-		tAcc:     slices.Clone(t.tAcc),
-		winW:     slices.Clone(t.winW),
-		cumW:     slices.Clone(t.cumW),
-		cumR:     slices.Clone(t.cumR),
+		ids:      append(dst.ids[:0], t.ids...),
+		used:     append(dst.used[:0], t.used...),
+		epoch:    append(dst.epoch[:0], t.epoch...),
+		wTemp:    append(dst.wTemp[:0], t.wTemp...),
+		tTemp:    append(dst.tTemp[:0], t.tTemp...),
+		wAcc:     append(dst.wAcc[:0], t.wAcc...),
+		tAcc:     append(dst.tAcc[:0], t.tAcc...),
+		winW:     append(dst.winW[:0], t.winW...),
+		cumW:     append(dst.cumW[:0], t.cumW...),
+		cumR:     append(dst.cumR[:0], t.cumR...),
 		live:     t.live,
 	}
+	return dst
 }
 
 // Len returns the number of tracked objects.

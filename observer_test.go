@@ -280,7 +280,7 @@ func TestCheckpointTriggerKeepsCadence(t *testing.T) {
 				t.Fatal(err)
 			}
 			env.cl.SetCheckpoint(func(now sim.Time) error { calls++; return env.hook(now) })
-			if _, err := env.run(ctx); err != nil {
+			if _, err := env.cl.RunContext(ctx); err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range log {

@@ -42,7 +42,6 @@ type runOptions struct {
 	metrics     *telemetry.Registry
 	sampleEvery sim.Time
 	check       bool
-	memo        *PrefixMemo
 }
 
 // WithCheckpoint makes the run write digest-sealed snapshot frames to w
@@ -105,23 +104,16 @@ func WithCheck() RunOption {
 }
 
 // runEnv is a wired, ready-to-run cluster plus the pieces that need
-// post-run work: the option-driven checker and a donated scratch. A
-// run sharing its prefix (PrefixMemo) either holds a fork already
-// paused at the boundary (forked) or publishes one under key.
+// post-run work: the option-driven checker and a donated scratch.
 type runEnv struct {
 	cl      *cluster.Cluster
 	ck      *check.Checker
 	scratch *cluster.Scratch
 	hook    func(sim.Time) error // the checkpoint hook, nil without a writer
-
-	memo   *PrefixMemo
-	key    prefixKey
-	forked bool
 }
 
 // setup builds the trace and the cluster and applies every option:
-// the shared first half of Run and Resume. A run sharing its prefix
-// instead forks a matching template when the memo holds one.
+// the shared first half of Run and Resume.
 func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -137,18 +129,6 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 		return nil, err
 	}
 	env := &runEnv{scratch: spec.Cluster.Scratch}
-	if cfg, err := spec.clusterConfig(); err == nil {
-		if key, ok := o.prefixKey(spec, cfg); ok {
-			if tmpl := o.memo.lookup(key); tmpl != nil {
-				if env.cl, err = tmpl.fork(spec, env.scratch); err != nil {
-					return nil, fmt.Errorf("edm: forking a shared prefix: %w", err)
-				}
-				env.forked = true
-				return env, nil
-			}
-			env.memo, env.key = o.memo, key
-		}
-	}
 	// A frame embeds the replay coordinates: the spec with its trace
 	// extracted and the frame cadence set (nothing an observer or a
 	// trigger set), and an explicit trace's bytes; a generated trace
@@ -207,22 +187,6 @@ func setup(ctx context.Context, spec Spec, o *runOptions) (*runEnv, error) {
 	return env, nil
 }
 
-// run replays the cluster to completion: from the fork's pause, or
-// from the start, stopping at the prefix boundary to publish a template
-// when the run shares its prefix.
-func (e *runEnv) run(ctx context.Context) (*Result, error) {
-	if e.forked {
-		return e.cl.ContinueContext(ctx)
-	}
-	if e.memo == nil {
-		return e.cl.RunContext(ctx)
-	}
-	if err := e.memo.runPrefix(ctx, e.cl, e.key); err != nil {
-		return nil, fmt.Errorf("edm: sharing the prefix: %w", err)
-	}
-	return e.cl.ContinueContext(ctx)
-}
-
 // finish is the post-run half of Run and Resume: the WithCheck audit,
 // then the run's grown buffers go back into a donated Scratch so the
 // caller can recycle them into its next run.
@@ -259,7 +223,7 @@ func Run(ctx context.Context, spec Spec, opts ...RunOption) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := env.run(ctx)
+	res, err := env.cl.RunContext(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +257,6 @@ func Resume(ctx context.Context, r io.Reader, opts ...RunOption) (*Result, error
 	for _, fn := range opts {
 		fn(&o)
 	}
-	o.memo = nil // the replay is what verifies the frame
 	var spec Spec
 	if err := json.Unmarshal(snap.SpecJSON, &spec); err != nil {
 		return nil, fmt.Errorf("edm: decoding checkpoint spec: %w", err)
