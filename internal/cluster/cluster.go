@@ -197,7 +197,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 
 	c := &Cluster{
 		build:      build{cfg: cfg, layout: layout, geom: geom, tr: tr},
-		eng:        sim.New(),
 		remap:      remap.New(),
 		stream:     rng.New(cfg.Seed ^ 0xedc0ffee),
 		locked:     make(map[object.ID]bool),
@@ -209,6 +208,9 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 	}
 	c.adopt(cfg.Scratch)
 	c.cfg.Scratch = nil
+	if c.eng, c.engine = c.engine, nil; c.eng == nil {
+		c.eng = sim.New()
+	}
 	if err := c.buildDevices(); err != nil {
 		return nil, err
 	}

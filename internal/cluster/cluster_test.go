@@ -380,3 +380,31 @@ func TestHDFLockParksAndResumesRequests(t *testing.T) {
 		t.Fatal("wait list not drained")
 	}
 }
+
+// TestNewRefusesNegativeUsers builds on an explicit trace with a
+// negative user id, then with a negative user count: New must refuse
+// both, where the first used to build and then panic in the replay
+// (buildStreams indexed its user lookup with the id).
+func TestNewRefusesNegativeUsers(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		users int
+		user  int32
+	}{
+		{"negative user id", 4, -1},
+		{"negative user count", -4, 0},
+	} {
+		tr := &trace.Trace{
+			Name:  "neg",
+			Users: tc.users,
+			Files: []trace.FileInfo{{ID: 0, Size: 65536}},
+			Records: []trace.Record{
+				{User: 0, File: 0, Kind: trace.OpWrite, Size: 4096},
+				{User: tc.user, File: 0, Kind: trace.OpWrite, Size: 4096},
+			},
+		}
+		if _, err := New(testConfig(8), tr); err == nil {
+			t.Errorf("%s: New accepted the trace", tc.name)
+		}
+	}
+}

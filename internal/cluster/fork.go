@@ -68,7 +68,7 @@ func (c *Cluster) Fork(s *Scratch) (*Cluster, error) {
 		waiters:    make(map[object.ID][]pendingOp),
 		respSeries: c.respSeries.Clone(),
 		respAll:    &metrics.Histogram{},
-		respMigr:   c.respMigr.Clone(nil),
+		respMigr:   &metrics.Histogram{},
 	}
 	f.adopt(s)
 	f.osds = f.recycleOSDs(len(c.osds))
@@ -85,6 +85,7 @@ func (c *Cluster) Fork(s *Scratch) (*Cluster, error) {
 		resp = make([]float64, 0, c.totalOps)
 	}
 	f.respAll = c.respAll.Clone(resp)
+	f.respMigr = c.respMigr.Clone(f.respMigr.Buffer())
 	f.copyStreams(c)
 
 	index := make(map[*stream]int, len(c.streams))
@@ -97,7 +98,7 @@ func (c *Cluster) Fork(s *Scratch) (*Cluster, error) {
 		}
 		return nil
 	}
-	eng, err := c.eng.Fork(func(a sim.Action) sim.Action {
+	eng, err := c.eng.Fork(f.engine, func(a sim.Action) sim.Action {
 		switch a := a.(type) {
 		case *stream:
 			if st := streamOf(a); st != nil {
@@ -121,7 +122,7 @@ func (c *Cluster) Fork(s *Scratch) (*Cluster, error) {
 		}
 		return nil, fmt.Errorf("cluster: %w: %w", err, ErrUnforkable)
 	}
-	f.eng = eng
+	f.eng, f.engine = eng, nil
 	return f, nil
 }
 

@@ -3,9 +3,11 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"edm/internal/metrics"
 	"edm/internal/object"
+	"edm/internal/prefetch"
 	"edm/internal/raid"
 	"edm/internal/sim"
 	"edm/internal/telemetry"
@@ -370,12 +372,20 @@ func (c *Cluster) buildStreams() {
 // issueNext executes the stream's next record and schedules the
 // follow-up on completion. A record that targets a locked object parks
 // until the lock's move commits.
+//
+// It also prefetches the record after it. The streams drift apart
+// across the trace, so that record is rarely in cache, and a plain load
+// of it would stall here as the record load itself does; the hint does
+// not, and the line arrives long before the operation completes.
 func (c *Cluster) issueNext(cl *stream, now sim.Time) {
 	if cl.next >= len(cl.pos) {
 		return
 	}
 	rec := c.tr.Records[cl.pos[cl.next]]
 	cl.next++
+	if cl.next < len(cl.pos) {
+		prefetch.Line(unsafe.Pointer(&c.tr.Records[cl.pos[cl.next]]))
+	}
 	c.startOp(pendingOp{rec: rec, issued: now, st: cl}, now)
 }
 

@@ -11,10 +11,11 @@ import (
 
 // Scratch carries the reusable per-run buffers of a finished cluster to
 // the next one: RAID access scratch, the pooled operation-completion
-// records, the response-histogram sample buffer, the stream-sharding
-// index arrays, the migration-snapshot and state-export arenas, and the
-// devices (SSD tables, store and tracker columns). Repeated runs in an
-// experiment sweep reach steady state without re-growing any of them.
+// records, the response-histogram sample buffers, the stream-sharding
+// index arrays, the migration-snapshot and state-export arenas, the
+// event engine (its slots) and the devices (SSD tables, store and
+// tracker columns). Repeated runs in an experiment sweep reach steady
+// state without re-growing any of them.
 //
 // A Scratch is owned by exactly one run at a time (hand it to
 // Config.Scratch or Fork, recover it with Cluster.Release), so each
@@ -27,9 +28,9 @@ type Scratch struct {
 	// donePool is a free list of reusable records: its full length is
 	// kept across runs (truncating would leak the pooled records).
 	donePool []*opDone
-	// resp is the response-sample buffer between runs; a live cluster
-	// lends it to respAll.
-	resp       []float64
+	// resp and migr are the response-sample buffers between runs; a
+	// live cluster lends them to respAll and respMigr.
+	resp, migr []float64
 	posBuf     []int32
 	userCnt    []int32
 	userLookup []int32
@@ -39,6 +40,7 @@ type Scratch struct {
 	snapObjs   []migration.ObjectInfo
 	planSnap   migration.Snapshot
 	queueBuf   []sim.QueueEntry
+	engine     *sim.Engine // reset by Release
 	devs       []*OSD
 }
 
@@ -54,7 +56,8 @@ func (c *Cluster) adopt(s *Scratch) {
 	}
 	c.scratch, *s = *s, Scratch{}
 	c.respAll.Reset(c.resp)
-	c.resp, c.streams = nil, c.streams[:0]
+	c.respMigr.Reset(c.migr)
+	c.resp, c.migr, c.streams = nil, nil, c.streams[:0]
 }
 
 // recycleOSDs returns n OSDs for the cluster to overwrite: the donated
@@ -71,15 +74,20 @@ func (c *Cluster) recycleOSDs(n int) []*OSD {
 	return osds
 }
 
-// Release surrenders the cluster's (possibly grown) scratch buffers and
-// its devices for reuse by a subsequent run. Call it only after Run has
-// returned and the Result has been read; the cluster must not be used
-// afterwards. The pooled records, stream and arrival entries, planner
-// snapshot and SSD probes drop their pointers into the cluster.
+// Release surrenders the cluster's (possibly grown) scratch buffers, its
+// engine and its devices for reuse by a subsequent run. Call it only
+// after Run has returned and the Result has been read; the cluster must
+// not be used afterwards. The pooled records, stream and arrival
+// entries, planner snapshot, engine slots and SSD probes drop their
+// pointers into the cluster.
 func (c *Cluster) Release() *Scratch {
 	s := c.scratch
 	c.scratch = Scratch{}
-	s.resp = c.respAll.Buffer()
+	s.resp, s.migr = c.respAll.Buffer(), c.respMigr.Buffer()
+	if c.eng != nil {
+		c.eng.Reset()
+		s.engine, c.eng = c.eng, nil
+	}
 	s.devs, c.osds = c.osds, nil
 	for _, o := range s.devs {
 		o.SSD.SetProbe(nil)

@@ -199,3 +199,47 @@ func TestSamplerStops(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestScheduleBelowLastTaken schedules events below the queue's last
+// time taken, from outside a run. A lone event, scheduled into an empty
+// queue, sets that time to its own, so the events scheduled after it
+// may land below it: on a fresh engine, and on a sampled one paused by
+// RunContextFired. Both must fire in (at, seq) order, with the samples
+// in between.
+func TestScheduleBelowLastTaken(t *testing.T) {
+	var log []string
+	at := func(e *Engine, when Time, name string) {
+		e.At(when, func(now Time) { log = append(log, fmt.Sprintf("%s@%d", name, now)) })
+	}
+
+	e := New()
+	at(e, 100, "lone")
+	at(e, 50, "a")
+	at(e, 75, "b")
+	at(e, 50, "c")
+	e.Run()
+	if want := "[a@50 c@50 b@75 lone@100]"; fmt.Sprint(log) != want {
+		t.Fatalf("fired %v, want %s", log, want)
+	}
+
+	log = log[:0]
+	e = New()
+	at(e, 1, "first")
+	e.SetSampler(250, func(at Time) { log = append(log, fmt.Sprintf("sample@%d", at)) })
+	if err := e.RunContextFired(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	at(e, 1000, "far")
+	at(e, 500, "mid")
+	at(e, 1, "now")
+	if q := fmt.Sprint(e.AppendQueue(nil)); q != "[{1ns 3} {500ns 2} {1µs 1}]" {
+		t.Fatalf("queue %s", q)
+	}
+	if err := e.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := "[first@1 now@1 sample@250 sample@500 mid@500 sample@750 sample@1000 far@1000]"
+	if fmt.Sprint(log) != want {
+		t.Fatalf("fired %v, want %s", log, want)
+	}
+}

@@ -34,7 +34,7 @@ func TestForkReplaysTheSameSchedule(t *testing.T) {
 		e.Step()
 	}
 	origLog = origLog[:0]
-	f, err := e.Fork(func(a Action) Action {
+	f, err := e.Fork(nil, func(a Action) Action {
 		c := *a.(*chain)
 		c.e, c.log = nil, &forkLog
 		return &c
@@ -42,8 +42,10 @@ func TestForkReplaysTheSameSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range f.heap {
-		f.slots[id].act.(*chain).e = f
+	for i := range f.slots {
+		if c, ok := f.slots[i].act.(*chain); ok {
+			c.e = f
+		}
 	}
 	if f.Now() != e.Now() || f.Fired() != e.Fired() || f.Seq() != e.Seq() || f.Pending() != e.Pending() {
 		t.Fatalf("fork at (%v, %d, %d, %d), original at (%v, %d, %d, %d)",
@@ -64,22 +66,22 @@ func TestForkRefusals(t *testing.T) {
 	keep := func(a Action) Action { return a }
 	closure := New()
 	closure.At(5, func(Time) {})
-	if _, err := closure.Fork(keep); err == nil {
+	if _, err := closure.Fork(nil, keep); err == nil {
 		t.Error("fork with a pending closure accepted")
 	}
 	hooked := New()
 	hooked.SetCheckpoint(10, 0, func(Time) error { return nil })
-	if _, err := hooked.Fork(keep); err == nil {
+	if _, err := hooked.Fork(nil, keep); err == nil {
 		t.Error("fork with a checkpoint hook accepted")
 	}
 	unmapped := New()
 	unmapped.AtAction(1, &chain{e: unmapped, log: new([]string)})
-	if _, err := unmapped.Fork(func(Action) Action { return nil }); err == nil {
+	if _, err := unmapped.Fork(nil, func(Action) Action { return nil }); err == nil {
 		t.Error("fork with an action remap dropped accepted")
 	}
 	running := New()
 	var inner error
-	running.At(1, func(Time) { _, inner = running.Fork(keep) })
+	running.At(1, func(Time) { _, inner = running.Fork(nil, keep) })
 	running.Run()
 	if inner == nil {
 		t.Error("fork of a running engine accepted")

@@ -6,20 +6,31 @@
 // same model twice yields identical event orderings and therefore
 // identical results. All EDM experiments are built on this property.
 //
-// The queue is an index-based 4-ary min-heap over a value slice of event
-// slots with a free list, so steady-state scheduling (At/After/Step)
-// performs no heap allocations: fired and cancelled events return their
-// slots for reuse. Handles are generation-checked slot indices, and
-// Cancel removes its event from the queue eagerly, so cancelled events
-// never linger (Pending is exact and a Stop-heavy run cannot bloat the
-// queue).
+// The queue is a radix queue, which fits because nothing is ever
+// scheduled before the clock: bucket 0 holds the events at the last
+// time taken, and bucket b > 0 those whose time first differs from it in
+// bit b−1. A step takes the front of bucket 0; when bucket 0 is empty,
+// the lowest non-empty bucket's earliest time becomes the last time
+// taken and its events move down, in order, to the buckets that time
+// assigns them. An event moves down at most 63 times, so a step costs
+// O(1) amortized. Each bucket is a list threaded through the event
+// slots and appended in schedule order, and the events of one instant
+// always share a bucket, so events leave in exactly (at, seq) order.
+//
+// Slots live in a value slice with a free list, so steady-state
+// scheduling (At/After/Step) performs no heap allocations: fired and
+// cancelled events return their slots for reuse. Handles are
+// generation-checked slot indices, and Cancel unlinks its event from
+// its bucket in O(1), so cancelled events never linger (Pending is exact
+// and a Stop-heavy run cannot bloat the queue).
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -60,20 +71,29 @@ type Action interface {
 }
 
 // slot holds one scheduled event. Slots live in a value slice and are
-// recycled through a free list; pos tracks the slot's position in the
-// heap (freeSlot when idle) and gen invalidates stale handles.
+// recycled through a free list; a pending slot is linked into its
+// bucket's list and gen invalidates stale handles.
 type slot struct {
-	at  Time
-	seq uint64 // tiebreaker: FIFO among same-time events
-	fn  Event  // exactly one of fn/act is set
-	act Action
-	gen uint32
-	pos int32
+	at Time
+	// Neighbours in the bucket's list, kept beside at because moving an
+	// event reads all three. The head's prev and the tail's next are
+	// stale and never read.
+	prev, next int32
+	seq        uint64 // tiebreaker: FIFO among same-time events
+	gen        uint32
+	fn         Event // while pending exactly one of fn/act is set; both nil when free
+	act        Action
 }
 
-// freeSlot marks a slot that is not in the heap (fired, cancelled, or
-// never used).
-const freeSlot = int32(-1)
+func (s *slot) pending() bool { return s.fn != nil || s.act != nil }
+
+// list is one bucket: the first and last slot of its list, and a lower
+// bound on its times (exact unless its earliest event was cancelled),
+// valid while the bucket's mask bit is set.
+type list struct {
+	head, tail int32
+	min        Time
+}
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
 // Handle is valid and refers to no event.
@@ -91,10 +111,11 @@ func (h Handle) Cancel() bool {
 		return false
 	}
 	s := &h.e.slots[h.id]
-	if s.pos == freeSlot || s.gen != h.gen {
+	if s.gen != h.gen || !s.pending() {
 		return false
 	}
-	h.e.removeAt(s.pos)
+	h.e.unlink(h.id)
+	h.e.recycle(h.id)
 	return true
 }
 
@@ -102,19 +123,25 @@ func (h Handle) Cancel() bool {
 // for concurrent use; parallelism in the EDM harness happens across
 // independent Engine instances, never within one.
 type Engine struct {
-	now     Time
+	now Time
+	// last is the queue's reference time: no pending event is earlier,
+	// and bucket b holds the events whose time first differs from it in
+	// bit b−1 (bucket 0: at last). Times are never negative, so 64
+	// buckets cover them; bit b of mask is set when bucket b is not empty.
+	last    Time
+	mask    uint64
 	slots   []slot
-	heap    []int32 // slot ids ordered as a 4-ary min-heap on (at, seq)
 	free    []int32 // recycled slot ids (LIFO)
 	seq     uint64
 	fired   uint64
 	running bool
 
 	// Checkpoint and sampler hooks (SetCheckpoint, SetSampler), nil when
-	// off, so the no-hook run loops stay branch-free; pointers, so an
-	// engine keeps its allocation size class.
+	// off, so the no-hook run loops stay branch-free.
 	ck  *checkpoint
 	smp *sampler
+
+	lists [64]list
 }
 
 // checkpoint is an armed SetCheckpoint hook: fn runs whenever the fired
@@ -143,6 +170,14 @@ type sampler struct {
 // New returns an engine with the clock at zero and an empty queue.
 func New() *Engine { return &Engine{} }
 
+// Reset empties the engine for reuse: it is as New returns it, but
+// keeps its slot storage, and its pending events' callbacks are
+// dropped. Handles from before must not be used after.
+func (e *Engine) Reset() {
+	clear(e.slots)
+	*e = Engine{slots: e.slots[:0], free: e.free[:0]}
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
@@ -151,7 +186,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting in the queue. Cancelled
 // events are removed eagerly and never counted.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.slots) - len(e.free) }
 
 // Seq returns the next schedule sequence number — together with Now and
 // Fired it pins the engine's replay position for state capture.
@@ -169,60 +204,63 @@ type QueueEntry struct {
 
 // AppendQueue appends every pending event's (at, seq) pair to dst in
 // deterministic (at, seq) order and returns the extended slice. It is
-// read-only: the heap is not disturbed, so capturing the queue cannot
+// read-only: the queue is not disturbed, so capturing the queue cannot
 // perturb the run being captured.
 func (e *Engine) AppendQueue(dst []QueueEntry) []QueueEntry {
 	base := len(dst)
-	for _, id := range e.heap {
-		s := &e.slots[id]
-		dst = append(dst, QueueEntry{At: s.at, Seq: s.seq})
-	}
-	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool {
-		if tail[i].At != tail[j].At {
-			return tail[i].At < tail[j].At
+	for i := range e.slots {
+		if s := &e.slots[i]; s.pending() {
+			dst = append(dst, QueueEntry{At: s.at, Seq: s.seq})
 		}
-		return tail[i].Seq < tail[j].Seq
+	}
+	slices.SortFunc(dst[base:], func(a, b QueueEntry) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Seq, b.Seq))
 	})
 	return dst
 }
 
-// Fork returns a copy of an engine paused between events: the same
-// clock, fired count, sequence counter and queue, slot for slot, with
-// every pending action replaced by remap(action), so the copy fires the
-// same events in the same order against the caller's copies of the
-// actions' state. The original is only read. Fork refuses an engine
-// that is running, has a checkpoint or sampler hook armed (observers of
-// the original are not the copy's), or holds a pending closure, which
-// cannot be re-bound; it also fails if remap returns nil. Handles
-// issued by the original do not refer to the copy.
-func (e *Engine) Fork(remap func(Action) Action) (*Engine, error) {
+// Fork copies an engine paused between events into dst (a new engine
+// when dst is nil, else overwritten as by Reset, keeping its slot
+// storage) and returns it: the same clock, fired count, sequence
+// counter and queue, slot for slot, with every pending action replaced
+// by remap(action), so the copy fires the same events in the same order
+// against the caller's copies of the actions' state. The original is
+// only read. Fork refuses an engine that is running, has a checkpoint
+// or sampler hook armed (observers of the original are not the copy's),
+// or holds a pending closure, which cannot be re-bound; it also fails
+// if remap returns nil, and then leaves dst reset. The original's
+// handles do not refer to the copy.
+func (e *Engine) Fork(dst *Engine, remap func(Action) Action) (*Engine, error) {
 	switch {
 	case e.running:
 		return nil, errors.New("sim: fork of a running engine")
 	case e.ck != nil || e.smp != nil:
 		return nil, errors.New("sim: fork of an engine with a hook armed")
 	}
-	f := &Engine{
-		now:   e.now,
-		slots: slices.Clone(e.slots),
-		heap:  slices.Clone(e.heap),
-		free:  slices.Clone(e.free),
-		seq:   e.seq,
-		fired: e.fired,
+	if dst == nil {
+		dst = New()
 	}
-	for _, id := range f.heap {
-		s := &f.slots[id]
+	dst.Reset()
+	slots, free := append(dst.slots, e.slots...), append(dst.free, e.free...)
+	*dst = *e
+	dst.slots, dst.free = slots, free
+	for i := range dst.slots {
+		s := &dst.slots[i]
+		if !s.pending() {
+			continue
+		}
+		var err error
 		if s.fn != nil {
-			return nil, fmt.Errorf("sim: pending event at %v (seq %d) is a closure, which a fork cannot re-bind", s.at, s.seq)
+			err = fmt.Errorf("sim: pending event at %v (seq %d) is a closure, which a fork cannot re-bind", s.at, s.seq)
+		} else if s.act = remap(s.act); s.act == nil {
+			err = fmt.Errorf("sim: pending %T at %v (seq %d) has no copy", e.slots[i].act, s.at, s.seq)
 		}
-		act := remap(s.act)
-		if act == nil {
-			return nil, fmt.Errorf("sim: pending %T at %v (seq %d) has no copy", s.act, s.at, s.seq)
+		if err != nil {
+			dst.Reset()
+			return nil, err
 		}
-		s.act = act
 	}
-	return f, nil
+	return dst, nil
 }
 
 // SetCheckpoint installs fn to run between events whenever the fired
@@ -255,37 +293,133 @@ func (e *Engine) SetSampler(every Time, fn func(at Time)) {
 	}
 }
 
-// sample runs the sampler for each instant up to the next event's time.
+// sample runs the sampler for each instant up to the next event's time,
+// which settle brings to the front of bucket 0 (and the last time taken
+// past now, until that event fires).
 func (e *Engine) sample() {
-	for e.smp != nil && len(e.heap) > 0 && e.smp.next <= e.slots[e.heap[0]].at {
+	for e.smp != nil && e.mask != 0 {
+		if e.mask&1 == 0 {
+			e.settle()
+		}
+		if e.smp.next > e.last {
+			return
+		}
 		t := e.smp.next
 		e.smp.next += e.smp.every
 		e.smp.fn(t)
 	}
 }
 
-// alloc reserves a slot for an event at the given instant and links it
-// into the heap.
+// alloc reserves a slot for an event at the given instant and appends it
+// to its bucket.
 func (e *Engine) alloc(at Time) int32 {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+	if at < e.last {
+		if at < e.now {
+			panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+		}
+		e.rebase()
+	}
+	if e.mask == 0 {
+		e.last = at // a lone event goes straight to bucket 0
 	}
 	var id int32
 	if n := len(e.free); n > 0 {
 		id = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		e.slots = append(e.slots, slot{pos: freeSlot})
+		e.slots = append(e.slots, slot{})
 		id = int32(len(e.slots) - 1)
 	}
 	s := &e.slots[id]
 	s.at = at
 	s.seq = e.seq
 	e.seq++
-	s.pos = int32(len(e.heap))
-	e.heap = append(e.heap, id)
-	e.siftUp(int(s.pos))
+	e.push(id)
 	return id
+}
+
+// push appends a slot to the bucket its time falls in.
+func (e *Engine) push(id int32) {
+	s := &e.slots[id]
+	b := bits.Len64(uint64(s.at ^ e.last))
+	l := &e.lists[b]
+	if e.mask&(1<<b) == 0 {
+		e.mask |= 1 << b
+		l.head, l.min = id, s.at
+	} else {
+		e.slots[l.tail].next = id
+		s.prev = l.tail
+		l.min = min(l.min, s.at)
+	}
+	l.tail = id
+}
+
+// unlink removes a pending slot from its bucket.
+func (e *Engine) unlink(id int32) {
+	s := &e.slots[id]
+	b := bits.Len64(uint64(s.at ^ e.last))
+	l := &e.lists[b]
+	switch {
+	case l.head == id && l.tail == id:
+		e.mask &^= 1 << b
+	case l.head == id:
+		l.head = s.next
+	case l.tail == id:
+		l.tail = s.prev
+	default:
+		e.slots[s.prev].next = s.next
+		e.slots[s.next].prev = s.prev
+	}
+}
+
+// recycle returns a slot to the free list; its generation advances so
+// stale handles miss.
+func (e *Engine) recycle(id int32) {
+	s := &e.slots[id]
+	s.gen++
+	s.fn, s.act = nil, nil
+	e.free = append(e.free, id)
+}
+
+// settle refills an empty bucket 0 from the lowest non-empty bucket: its
+// earliest time becomes the last time taken, and its events move, in
+// order, to the lower buckets that time assigns them, bucket 0 among
+// them. No other event changes bucket. After a cancel a bucket's bound
+// may lie below its earliest time; then its events all land in buckets
+// above 0 but below its own, and the loop goes on. The queue must not be
+// empty.
+func (e *Engine) settle() {
+	for e.mask&1 == 0 {
+		b := bits.TrailingZeros64(e.mask)
+		l := e.lists[b]
+		e.mask &^= 1 << b
+		e.last = l.min
+		e.rebucket(l)
+	}
+}
+
+// rebase lowers the last time taken to now and re-buckets every event
+// against it. It runs when an event is scheduled below the last time
+// taken, which a lone event (scheduled into an empty queue) or a
+// sampler's look at the next event can leave past now.
+func (e *Engine) rebase() {
+	lists, mask := e.lists, e.mask
+	e.last, e.mask = e.now, 0
+	for ; mask != 0; mask &= mask - 1 {
+		e.rebucket(lists[bits.TrailingZeros64(mask)])
+	}
+}
+
+// rebucket pushes the events of a detached list, in order.
+func (e *Engine) rebucket(l list) {
+	for id := l.head; ; {
+		next := e.slots[id].next
+		e.push(id)
+		if id == l.tail {
+			return
+		}
+		id = next
+	}
 }
 
 // At schedules fn to run at the absolute virtual time at. Scheduling in
@@ -373,14 +507,23 @@ func (t *Ticker) Stop() {
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
-		return false
+	if e.mask&1 == 0 {
+		if e.mask == 0 {
+			return false
+		}
+		e.settle()
 	}
-	s := &e.slots[e.heap[0]]
-	at := s.at
-	fn := s.fn
-	act := s.act
-	e.removeAt(0)
+	l := &e.lists[0]
+	id := l.head
+	if id == l.tail {
+		e.mask &^= 1
+	} else {
+		l.head = e.slots[id].next
+	}
+	s := &e.slots[id]
+	fn, act := s.fn, s.act
+	e.recycle(id)
+	at := e.last
 	e.now = at
 	e.fired++
 	if act != nil {
@@ -389,81 +532,6 @@ func (e *Engine) Step() bool {
 		fn(at)
 	}
 	return true
-}
-
-// removeAt unlinks the event at heap position pos and recycles its slot.
-// The slot's generation advances so stale handles miss.
-func (e *Engine) removeAt(pos int32) {
-	id := e.heap[pos]
-	last := int32(len(e.heap) - 1)
-	moved := e.heap[last]
-	e.heap[pos] = moved
-	e.slots[moved].pos = pos
-	e.heap = e.heap[:last]
-	if pos < last {
-		e.siftDown(int(pos))
-		e.siftUp(int(e.slots[moved].pos))
-	}
-	s := &e.slots[id]
-	s.pos = freeSlot
-	s.gen++
-	s.fn = nil
-	s.act = nil
-	e.free = append(e.free, id)
-}
-
-// less orders heap entries by (at, seq): earliest first, FIFO among
-// same-time events — the determinism tiebreak.
-func (e *Engine) less(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
-// siftUp restores heap order from position i toward the root.
-func (e *Engine) siftUp(i int) {
-	h := e.heap
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.less(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		e.slots[h[i]].pos = int32(i)
-		e.slots[h[parent]].pos = int32(parent)
-		i = parent
-	}
-}
-
-// siftDown restores heap order from position i toward the leaves.
-func (e *Engine) siftDown(i int) {
-	h := e.heap
-	n := len(h)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if e.less(h[c], h[min]) {
-				min = c
-			}
-		}
-		if !e.less(h[min], h[i]) {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		e.slots[h[i]].pos = int32(i)
-		e.slots[h[min]].pos = int32(min)
-		i = min
-	}
 }
 
 // Run executes events until the queue drains.

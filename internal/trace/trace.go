@@ -214,8 +214,12 @@ func Decode(r io.Reader) (*Trace, error) {
 }
 
 // Validate checks internal consistency: ops reference declared files and
-// stay within non-negative ranges.
+// stay within non-negative ranges, and user ids are non-negative and
+// below the declared user count, if any.
 func (t *Trace) Validate() error {
+	if t.Users < 0 {
+		return fmt.Errorf("trace: negative user count %d", t.Users)
+	}
 	sizes := make(map[FileID]int64, len(t.Files))
 	for _, f := range t.Files {
 		if f.Size < 0 {
@@ -233,7 +237,7 @@ func (t *Trace) Validate() error {
 		if r.Offset < 0 || r.Size < 0 {
 			return fmt.Errorf("trace: record %d has negative offset/size", i)
 		}
-		if t.Users > 0 && int(r.User) >= t.Users {
+		if r.User < 0 || t.Users > 0 && int(r.User) >= t.Users {
 			return fmt.Errorf("trace: record %d user %d out of range [0,%d)", i, r.User, t.Users)
 		}
 	}

@@ -407,6 +407,16 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := tr.Validate(); err == nil {
 		t.Fatal("out-of-range user should fail validation")
 	}
+	tr.Records[0].User = -1
+	if err := tr.Validate(); err == nil {
+		t.Fatal("negative user should fail validation")
+	}
+	tr.Records[0].User = 0
+	tr.Users = -4
+	if err := tr.Validate(); err == nil {
+		t.Fatal("negative user count should fail validation")
+	}
+	tr.Users = 1
 	tr.Files = append(tr.Files, FileInfo{ID: 1, Size: 1})
 	if err := tr.Validate(); err == nil {
 		t.Fatal("duplicate file should fail validation")
