@@ -15,7 +15,6 @@ import (
 	"edm/internal/migration"
 	"edm/internal/object"
 	"edm/internal/placement"
-	"edm/internal/remap"
 	"edm/internal/rng"
 	"edm/internal/sim"
 	"edm/internal/telemetry"
@@ -94,26 +93,6 @@ func BenchmarkTemperatureTouch(b *testing.B) {
 		tr.TouchWrite(temperature.Slot(i%slots), 2, sim.Time(i))
 	}
 }
-
-// BenchmarkRemapLookup measures the remap-aware locate on a populated
-// table — the per-suboperation lookup cost on the replay path.
-func BenchmarkRemapLookup(b *testing.B) {
-	tb := remap.New()
-	tb.Reserve(4096)
-	for id := 0; id < 4096; id += 3 {
-		tb.Record(object.ID(id), id%16, (id+1)%16)
-	}
-	var sink int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += tb.Lookup(object.ID(i%4096), i%16)
-	}
-	benchSink = sink
-}
-
-// benchSink defeats dead-code elimination in value-only benchmarks.
-var benchSink int
 
 // BenchmarkMigrationPlan measures one forced HDF planning pass over a
 // synthetic 16-device, 512-objects-per-device snapshot — the per-round

@@ -23,9 +23,8 @@ import (
 //   - temperature: every live store slot's tracker row is bound to the
 //     same object, and the tracker holds no other rows — the replay,
 //     mover and rebuilder address both tables by one handle.
-//   - remap: every object is resident on exactly one OSD, the
-//     remap-aware lookup resolves to that OSD, and every table entry
-//     resolves to a live object.
+//   - remap: every object is resident on exactly one OSD, the one its
+//     owner row (the remapping table's view) points to.
 //   - migration/rebuild: the remap table's recorded move count equals
 //     committed migration moves plus rebuilt objects.
 //   - placement: while all recorded moves are intra-group (HDF/CDF and
@@ -106,30 +105,19 @@ func (c *Cluster) Audit() []string {
 		}
 	}
 
-	// Residency must agree with the remap-aware lookup in both
-	// directions: each resident object is found where locate points, and
-	// each remap entry resolves to a live object there.
+	// Each resident object is found where locate points; the rows
+	// above hold every table entry to a live object the other way.
 	for id, osd := range owners {
 		if at := c.locate(id); at != osd {
 			fail("remap: object %d resident on osd %d but lookup resolves to osd %d", id, osd, at)
 		}
 	}
-	for _, id := range c.remap.Entries() {
-		osd := c.locate(id)
-		held := false
-		if osd >= 0 && osd < len(c.osds) {
-			_, held = c.osds[osd].Store.Lookup(id)
-		}
-		if !held {
-			fail("remap: entry for object %d resolves to osd %d, which does not hold it", id, osd)
-		}
-	}
 
 	// Moved-object accounting: the remap table records exactly one move
 	// per committed migration move or rebuilt object.
-	if rs := c.remap.Stats(); rs.Moves != c.movesCommitted+uint64(c.rebuilt) {
+	if n := c.remap.moves; n != c.movesCommitted+uint64(c.rebuilt) {
 		fail("migration: remap table recorded %d moves, cluster committed %d moves + %d rebuilds",
-			rs.Moves, c.movesCommitted, c.rebuilt)
+			n, c.movesCommitted, c.rebuilt)
 	}
 
 	// Stripe dispersion (§III.A): as long as every recorded move stayed

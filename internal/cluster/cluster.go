@@ -10,7 +10,6 @@ import (
 	"edm/internal/object"
 	"edm/internal/placement"
 	"edm/internal/raid"
-	"edm/internal/remap"
 	"edm/internal/rng"
 	"edm/internal/sim"
 	"edm/internal/telemetry"
@@ -77,11 +76,12 @@ type Cluster struct {
 
 	eng    *sim.Engine
 	osds   []*OSD
-	remap  *remap.Table
+	remap  *remapStats
 	stream *rng.Stream
 
 	// Dense object metadata that moves change: the OSD holding each
 	// object and its store (== tracker) slot there, by dense index.
+	// Only relocate writes them once New has built the cluster.
 	owner []int32
 	oslot []object.Index
 
@@ -130,7 +130,7 @@ type counters struct {
 	migrations int
 	// movesCommitted counts migration moves that actually committed
 	// (planned moves may be skipped or aborted); together with rebuilt
-	// it must equal the remap table's Record count — an Audit invariant.
+	// it must equal the remap table's move count — an Audit invariant.
 	movesCommitted   uint64
 	movedPages       int64
 	movedBytes       int64
@@ -197,7 +197,7 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 
 	c := &Cluster{
 		build:      build{cfg: cfg, layout: layout, geom: geom, tr: tr},
-		remap:      remap.New(),
+		remap:      &remapStats{},
 		stream:     rng.New(cfg.Seed ^ 0xedc0ffee),
 		locked:     make(map[object.ID]bool),
 		waiters:    make(map[object.ID][]pendingOp),
@@ -272,7 +272,7 @@ func (c *Cluster) SetMetrics(reg *telemetry.Registry, every sim.Time) {
 func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 	reg.Gauge("completed_ops", func(sim.Time) float64 { return float64(c.completedOps) })
 	reg.Gauge("moved_objects", func(sim.Time) float64 { return float64(len(c.moves)) })
-	reg.Gauge("remap_entries", func(sim.Time) float64 { return float64(c.remap.Stats().Entries) })
+	reg.Gauge("remap_entries", func(sim.Time) float64 { return float64(c.remap.entries) })
 	c.parked = reg.Counter("parked_ops")
 	c.respHist = reg.Histogram("response_s")
 	for _, o := range c.osds {
@@ -338,9 +338,46 @@ func (c *Cluster) objectHome(id object.ID) int {
 	return c.layout.HomeOf(int64(id)/k, int(int64(id)%k))
 }
 
-// locate returns the OSD currently holding the object (remap-aware).
+// remapStats counts the growth of the remapping table (§III.C). The
+// table itself is a view of the owner column: an object has an entry
+// while it lives away from its home, owner[oi] != ohome[oi].
+type remapStats struct {
+	moves    uint64 // relocations recorded
+	inserts  uint64 // relocations that created an entry
+	updates  uint64 // relocations that rewrote an entry
+	removals uint64 // relocations home, which dropped an entry
+	entries  int    // current size
+	peak     int    // high-water mark
+}
+
+// relocate records that object oi now lives at slot on dst, counting
+// the table entry that creates, rewrites or drops.
+func (c *Cluster) relocate(oi int32, dst int, slot object.Index) {
+	r, had := c.remap, c.owner[oi] != c.ohome[oi]
+	r.moves++
+	switch {
+	case int32(dst) == c.ohome[oi]:
+		if had {
+			r.removals++
+			r.entries--
+		}
+	case had:
+		r.updates++
+	default:
+		r.inserts++
+		r.entries++
+		r.peak = max(r.peak, r.entries)
+	}
+	c.owner[oi], c.oslot[oi] = int32(dst), slot
+}
+
+// locate returns the OSD holding a traced object, or −1 for an id
+// outside the trace.
 func (c *Cluster) locate(id object.ID) int {
-	return c.remap.Lookup(id, c.objectHome(id))
+	if oi := c.indexOf(id); oi >= 0 {
+		return int(c.owner[oi])
+	}
+	return -1
 }
 
 // rankOf returns the file's dense rank, or −1 for files outside the

@@ -165,8 +165,8 @@ func TestMigrationPreservesObjectsAndData(t *testing.T) {
 		t.Fatalf("object count changed across migration: %d -> %d", before, after)
 	}
 	// Every remapped object must live exactly where the table says.
-	for _, id := range cl.remap.Entries() {
-		osd := cl.remap.Lookup(id, cl.objectHome(id))
+	for _, id := range remapEntries(cl) {
+		osd := cl.locate(id)
 		if _, ok := cl.OSD(osd).Store.Lookup(id); !ok {
 			t.Fatalf("remapped object %d not on OSD %d", id, osd)
 		}

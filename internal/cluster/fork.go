@@ -55,10 +55,11 @@ func (c *Cluster) Fork(s *Scratch) (*Cluster, error) {
 	if draws != 0 {
 		return nil, unforkable("the warm-up stream has been drawn from")
 	}
+	remap := *c.remap
 	f := &Cluster{
 		build:      c.build,
 		counters:   c.counters,
-		remap:      c.remap.Clone(),
+		remap:      &remap,
 		stream:     rng.New(seed),
 		owner:      slices.Clone(c.owner),
 		oslot:      slices.Clone(c.oslot),

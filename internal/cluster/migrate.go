@@ -109,7 +109,7 @@ func (c *Cluster) fillSnapshot(snap *migration.Snapshot, devs []migration.Device
 				Home:          int(c.ohome[oi]),
 				Pages:         o.Store.PagesAt(sl),
 				Bytes:         o.Store.SizeAt(sl),
-				Remapped:      c.remap.Contains(id),
+				Remapped:      c.owner[oi] != c.ohome[oi],
 				WriteTemp:     ts.WriteTemp,
 				TotalTemp:     ts.TotalTemp,
 				WinWritePages: ts.WinWrites,
@@ -311,10 +311,7 @@ func (c *Cluster) commitMove(mv *mover, at sim.Time) {
 	if snap, ok := src.Tracker.ExportAt(temperature.Slot(mv.srcSlot), at); ok {
 		dst.Tracker.ImportAt(temperature.Slot(mv.dstSlot), snap, at)
 	}
-	oi := c.indexOf(m.Obj)
-	c.remap.Record(m.Obj, int(c.ohome[oi]), m.Dst)
-	c.owner[oi] = int32(m.Dst)
-	c.oslot[oi] = mv.dstSlot
+	c.relocate(c.indexOf(m.Obj), m.Dst, mv.dstSlot)
 	c.movesCommitted++
 	if c.rec != nil {
 		c.rec.ObjectMoveCommit(telemetry.ObjectMoveCommit{

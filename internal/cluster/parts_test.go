@@ -199,10 +199,10 @@ func perturb(v reflect.Value) {
 	}
 }
 
-// TestSealCoversEveryCounter changes one counters field at a time in a
-// fork, and one OSD counter at a time, and requires Diff to report
-// exactly the section that seals it: a counter missing from the seal
-// would pass snapshot.Verify and diverge silently.
+// TestSealCoversEveryCounter changes one counters field, remap table
+// counter or OSD counter at a time in a fork, and requires Diff to
+// report exactly the section that seals it: a counter missing from the
+// seal would pass snapshot.Verify and diverge silently.
 func TestSealCoversEveryCounter(t *testing.T) {
 	c := pausedAfterRound(t)
 	want := c.ExportState()
@@ -222,6 +222,12 @@ func TestSealCoversEveryCounter(t *testing.T) {
 	for i := 0; i < typ.NumField(); i++ {
 		check(typ.Field(i).Name, "run counters", func(f *Cluster) {
 			perturb(fieldValue(reflect.ValueOf(&f.counters).Elem().Field(i)))
+		})
+	}
+	typ = reflect.TypeOf(remapStats{})
+	for i := 0; i < typ.NumField(); i++ {
+		check("remapStats."+typ.Field(i).Name, "remap table", func(f *Cluster) {
+			perturb(fieldValue(reflect.ValueOf(f.remap).Elem().Field(i)))
 		})
 	}
 	for name, part := range osdParts {

@@ -138,9 +138,7 @@ func (c *Cluster) rebuildObject(obj object.ID, failedOSD, dst int, now sim.Time,
 			if snap, ok := c.osds[failedOSD].Tracker.ExportAt(temperature.Slot(srcSlot), at); ok {
 				target.Tracker.ImportAt(temperature.Slot(tslot), snap, at)
 			}
-			c.remap.Record(obj, int(c.ohome[oi]), dst)
-			c.owner[oi] = int32(dst)
-			c.oslot[oi] = tslot
+			c.relocate(oi, dst, tslot)
 			c.rebuilt++
 			c.rebuiltBytes += size
 			if c.rec != nil {

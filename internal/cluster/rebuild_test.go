@@ -39,7 +39,7 @@ func TestRebuildRestoresFullService(t *testing.T) {
 	if cl.OSD(3).Store.Len() != 0 {
 		t.Fatalf("failed device still lists %d objects", cl.OSD(3).Store.Len())
 	}
-	for _, id := range cl.remap.Entries() {
+	for _, id := range remapEntries(cl) {
 		loc := cl.locate(id)
 		if loc == 3 {
 			t.Fatalf("object %d still routed to the failed device", id)

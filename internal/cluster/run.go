@@ -210,9 +210,6 @@ func (c *Cluster) FastForward(ctx context.Context, fired uint64) error {
 // exactly fired events have fired since the start.
 func (c *Cluster) replayTo(ctx context.Context, fired uint64) error {
 	c.eng.SetCheckpoint(0, 0, nil)
-	if fired == 0 {
-		return nil
-	}
 	if err := c.eng.RunContextFired(ctx, fired); err != nil {
 		return fmt.Errorf("cluster: fast-forward to event %d: %w", fired, err)
 	}
@@ -671,9 +668,7 @@ func (c *Cluster) buildResult() *Result {
 				(o.busyTime-o.busyAtMig).Seconds()/span)
 		}
 	}
-	rs := c.remap.Stats()
-	res.RemapEntries = rs.Entries
-	res.RemapPeak = rs.PeakEntries
+	res.RemapEntries, res.RemapPeak = c.remap.entries, c.remap.peak
 	return res
 }
 

@@ -44,7 +44,7 @@ func (c *Cluster) ExportState() *State {
 	s.Sections = make([]uint64, 0, len(clusterSections)+len(osdSections)*len(c.osds))
 	seed, draws := c.stream.State()
 	s.Sections = append(s.Sections,
-		c.queueDigest(), c.countersDigest(), c.tablesDigest(), c.remap.StateDigest(),
+		c.queueDigest(), c.countersDigest(), c.tablesDigest(), c.remapDigest(),
 		c.locksDigest(), c.streamsDigest(), c.responseDigest(),
 		fnvx.New().Uint64(seed).Uint64(draws).Sum(),
 		fnvx.New().String(c.tr.Name).Int(len(c.tr.Records)).Int(len(c.tr.Files)).Int(c.tr.Users).Sum())
@@ -100,6 +100,23 @@ func (c *Cluster) tablesDigest() uint64 {
 	for i := range c.oids {
 		h = h.Int64(int64(c.oids[i])).Int(int(c.owner[i])).
 			Int(int(c.oslot[i])).Int(int(c.ohome[i]))
+	}
+	return h.Sum()
+}
+
+// remapDigest seals the remapping table: its counters, then each entry
+// as (id, OSD) in ascending id order. Frames of version 3 carry this
+// word as a dense array below id 1<<22 and a sorted map above it hashed
+// it, which is ascending order because ids are never negative
+// (trace.Validate refuses negative file ids).
+func (c *Cluster) remapDigest() uint64 {
+	r := c.remap
+	h := fnvx.New().Int(r.entries).Int(r.peak).
+		Uint64(r.moves).Uint64(r.inserts).Uint64(r.updates).Uint64(r.removals)
+	for oi, own := range c.owner {
+		if own != c.ohome[oi] {
+			h = h.Int64(int64(c.oids[oi])).Int(int(own))
+		}
 	}
 	return h.Sum()
 }

@@ -1,111 +1,97 @@
-package remap
+package remap_test
 
 import (
-	"reflect"
+	"context"
+	"maps"
 	"testing"
 
+	"edm/internal/cluster"
 	"edm/internal/object"
+	"edm/internal/sim"
 )
 
-func TestCloneIsIndependent(t *testing.T) {
-	tb := New()
-	tb.Record(3, 0, 1)
-	tb.Record(-7, 2, 5) // overflow entry
-	tb.Record(3, 0, 0)  // back home
-	tb.Record(9, 1, 2)
-	digest := func(x *Table) uint64 { return x.StateDigest() }
-	c := tb.Clone()
-	if digest(c) != digest(tb) || c.Stats() != tb.Stats() {
-		t.Fatal("clone differs")
+// fork returns a copy of a cluster whose run has finished.
+func fork(t *testing.T, c *cluster.Cluster) *cluster.Cluster {
+	t.Helper()
+	f, err := c.Fork(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	before, entries := digest(tb), tb.Entries()
-	mutate := func(x *Table) {
-		x.Record(-7, 2, 2)
-		x.Record(1<<23, 0, 3)
-		x.Record(4, 1, 3)
+	return f
+}
+
+// TestCloneIsIndependent: a fork carries its original's table, and the
+// two change apart after it. A failure and rebuild of the device
+// holding an entry, run on the fork, leave the original's table as it
+// was; the same failure on the original brings both to one table.
+func TestCloneIsIndependent(t *testing.T) {
+	huge, far := object.ID(1<<22+7), object.ID(1<<42+1)
+	c, _ := replay(t, step{3, 1}, step{huge, 2}, step{3, 0}, step{9, 1}, step{far, 3})
+	f := fork(t, c)
+	before, where := remapWord(t, c), lookup(c)
+	if remapWord(t, f) != before || !maps.Equal(lookup(f), where) {
+		t.Fatal("the fork's table differs from its original's")
+	}
+	failed := where[huge].osd
+	mutate := func(x *cluster.Cluster) {
+		t.Helper()
+		now := x.Engine().Now()
+		x.FailOSD(failed, now+sim.Millisecond)
+		x.Rebuild(failed, now+2*sim.Millisecond)
+		res, err := x.ContinueContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RebuiltObjects == 0 {
+			t.Fatalf("osd %d failed but nothing was rebuilt", failed)
+		}
+		if v := x.Audit(); len(v) > 0 {
+			t.Fatalf("audit: %v", v)
+		}
+	}
+	mutate(f)
+	if remapWord(t, f) == before {
+		t.Fatal("the rebuild left the fork's table as it was")
+	}
+	if remapWord(t, c) != before || !maps.Equal(lookup(c), where) {
+		t.Fatal("changing the fork changed the original")
 	}
 	mutate(c)
-	if digest(tb) != before || !reflect.DeepEqual(tb.Entries(), entries) {
-		t.Fatal("changing the clone changed the original")
-	}
-	mutate(tb)
-	if digest(c) != digest(tb) || c.Stats() != tb.Stats() || c.Lookup(object.ID(1<<23), 9) != 3 {
-		t.Fatal("clone and original diverged under the same changes")
+	if remapWord(t, c) != remapWord(t, f) || !maps.Equal(lookup(c), lookup(f)) {
+		t.Fatal("fork and original diverged under the same changes")
 	}
 }
 
-// The roles of a field in Clone and StateDigest.
-const (
-	fieldSealed = "sealed and cloned"
-	fieldConfig = "fixed config"
-	fieldIndex  = "derived index or cache, rebuilt or cloned"
-	fieldProbe  = "probe or scratch, neither cloned nor sealed"
-)
-
-// tableFields classifies every Table field: TestFieldsAreClassified
-// fails on a new field until it is named here.
-var tableFields = map[string]string{
-	"dense": fieldSealed, "overflow": fieldSealed, "entries": fieldSealed,
-	"moves": fieldSealed, "inserts": fieldSealed, "updates": fieldSealed, "removals": fieldSealed,
-	"peakEntries": fieldSealed,
-}
-
+// TestFieldsAreClassified: every part of the table, each entry and each
+// growth counter, is sealed and carried by a fork. Histories that end
+// with the same entries but count their growth differently, and one
+// that counts the same growth into another entry, seal to distinct
+// words, each the standalone table's; a fork of each run seals the
+// same word as its original.
 func TestFieldsAreClassified(t *testing.T) {
-	requireClassified(t, reflect.TypeOf(Table{}), tableFields)
-	tb := New()
-	tb.Record(3, 0, 1)
-	tb.Record(-7, 2, 5)
-	requireNoSharedMemory(t, tb, tb.Clone(), tableFields)
-}
-
-// sharesMemory reports whether a and b, two values of one type, hold
-// the same map or slice backing array, searching slices of slices.
-func sharesMemory(a, b reflect.Value) bool {
-	switch a.Kind() {
-	case reflect.Map:
-		return !a.IsNil() && a.Pointer() == b.Pointer()
-	case reflect.Slice:
-		if a.Cap() > 0 && b.Cap() > 0 && a.Pointer() == b.Pointer() {
-			return true
-		}
-		if a.Type().Elem().Kind() == reflect.Slice {
-			for i := 0; i < a.Len() && i < b.Len(); i++ {
-				if sharesMemory(a.Index(i), b.Index(i)) {
-					return true
-				}
-			}
-		}
+	one := map[object.ID]int{1: 1}
+	histories := []struct {
+		steps []step
+		want  stats
+		away  map[object.ID]int
+	}{
+		{[]step{{1, 1}}, stats{moves: 1, inserts: 1, entries: 1, peak: 1}, one},
+		{[]step{{2, 1}}, stats{moves: 1, inserts: 1, entries: 1, peak: 1}, map[object.ID]int{2: 1}},
+		{[]step{{1, 2}, {1, 1}}, stats{moves: 2, inserts: 1, updates: 1, entries: 1, peak: 1}, one},
+		{[]step{{1, 1}, {1, 0}, {1, 1}}, stats{moves: 3, inserts: 2, removals: 1, entries: 1, peak: 1}, one},
+		{[]step{{2, 1}, {1, 1}, {2, 0}}, stats{moves: 3, inserts: 2, removals: 1, entries: 1, peak: 2}, one},
 	}
-	return false
-}
-
-// requireClassified fails on a field of typ that fields does not name,
-// and on a name that is no field of typ.
-func requireClassified(t *testing.T, typ reflect.Type, fields map[string]string) {
-	t.Helper()
-	names := map[string]bool{}
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		if names[name] = true; fields[name] == "" {
-			t.Errorf("%s.%s is unclassified: decide whether Clone copies it and StateDigest seals it, then name it here", typ.Name(), name)
+	seen := map[uint64]int{}
+	for i, h := range histories {
+		c, res := replay(t, h.steps...)
+		requireTable(t, c, res, h.want, h.away)
+		w := remapWord(t, c)
+		if j, dup := seen[w]; dup {
+			t.Fatalf("histories %d and %d seal to one word", j, i)
 		}
-	}
-	for name := range fields {
-		if !names[name] {
-			t.Errorf("%s has no field %s", typ.Name(), name)
-		}
-	}
-}
-
-// requireNoSharedMemory fails when a cloned field of the struct that
-// clone points to shares memory with orig's.
-func requireNoSharedMemory(t *testing.T, orig, clone any, fields map[string]string) {
-	t.Helper()
-	ov, cv := reflect.ValueOf(orig).Elem(), reflect.ValueOf(clone).Elem()
-	for i := 0; i < ov.NumField(); i++ {
-		name := ov.Type().Field(i).Name
-		if fields[name] != fieldConfig && sharesMemory(ov.Field(i), cv.Field(i)) {
-			t.Errorf("clone shares %s with its original", name)
+		seen[w] = i
+		if got := remapWord(t, fork(t, c)); got != w {
+			t.Fatalf("history %d: the fork seals %x, its original %x", i, got, w)
 		}
 	}
 }

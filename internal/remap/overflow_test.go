@@ -1,85 +1,34 @@
-package remap
+package remap_test
 
 import (
-	"reflect"
 	"testing"
 
+	"edm/internal/cluster"
 	"edm/internal/object"
+	"edm/internal/trace"
 )
 
-// TestOverflowIDs exercises the map fallback for ids the dense array
-// cannot index: negative ids and ids at or beyond the dense bound.
+// TestOverflowIDs: objects with ids at and far above 1<<22, where the
+// standalone table's dense array ended and its overflow map began, keep
+// entries alongside a dense one, seal after it, and follow the same
+// move-home removal rule. A negative id never reaches the table: a
+// trace declaring a negative file id is refused when the cluster is
+// built.
 func TestOverflowIDs(t *testing.T) {
-	tb := New()
-	huge := object.ID(maxDense) + 7
-	neg := object.ID(-3)
-
-	tb.Record(huge, 1, 4)
-	tb.Record(neg, 2, 5)
-	tb.Record(10, 0, 3) // dense entry alongside the overflow ones
-
-	if got := tb.Lookup(huge, 1); got != 4 {
-		t.Fatalf("Lookup(huge) = %d, want 4", got)
-	}
-	if got := tb.Lookup(neg, 2); got != 5 {
-		t.Fatalf("Lookup(neg) = %d, want 5", got)
-	}
-	if !tb.Contains(huge) || !tb.Contains(neg) || !tb.Contains(10) {
-		t.Fatal("Contains lost an entry")
-	}
-	if tb.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tb.Len())
-	}
-	want := []object.ID{neg, 10, huge}
-	if got := tb.Entries(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Entries = %v, want %v", got, want)
-	}
+	huge, far, dense := object.ID(1<<22+7), object.ID(1<<42+1), object.ID(10)
+	out := []step{{huge, 3}, {far, 1}, {dense, 2}}
+	c, res := replay(t, out...)
+	requireTable(t, c, res, stats{moves: 3, inserts: 3, entries: 3, peak: 3},
+		map[object.ID]int{huge: 3, far: 1, dense: 2})
 
 	// Overflow entries follow the same move-home removal rule.
-	tb.Record(huge, 1, 1)
-	tb.Record(neg, 2, 2)
-	if tb.Contains(huge) || tb.Contains(neg) {
-		t.Fatal("overflow entries survived a move back home")
-	}
-	if tb.Len() != 1 {
-		t.Fatalf("Len = %d after removals, want 1", tb.Len())
-	}
-	st := tb.Stats()
-	if st.Moves != 5 || st.Inserts != 3 || st.Removals != 2 {
-		t.Fatalf("Stats = %+v, want 5 moves / 3 inserts / 2 removals", st)
-	}
-}
+	c, res = replay(t, append(out, step{huge, 0}, step{far, 0})...)
+	requireTable(t, c, res, stats{moves: 5, inserts: 3, removals: 2, entries: 1, peak: 3},
+		map[object.ID]int{dense: 2})
 
-// TestReserveAvoidsGrowthAllocations pins Reserve's purpose: once the
-// dense array covers the object population, recording and removing
-// entries in that range never allocates.
-func TestReserveAvoidsGrowthAllocations(t *testing.T) {
-	tb := New()
-	const n = 10000
-	tb.Reserve(n)
-	id := object.ID(0)
-	allocs := testing.AllocsPerRun(1000, func() {
-		tb.Record(id, 0, 1) // insert
-		tb.Record(id, 0, 2) // update
-		tb.Record(id, 0, 0) // remove (back home)
-		id = (id + 7919) % n
-	})
-	if allocs != 0 {
-		t.Fatalf("Record on a reserved range allocated %v times per run; want 0", allocs)
-	}
-}
-
-// TestReserveClampsToDenseBound documents that Reserve cannot push the
-// dense array past maxDense.
-func TestReserveClampsToDenseBound(t *testing.T) {
-	tb := New()
-	tb.Reserve(maxDense + 500)
-	if len(tb.dense) != maxDense {
-		t.Fatalf("dense array grew to %d, want clamp at %d", len(tb.dense), maxDense)
-	}
-	// An id past the bound still works, via overflow.
-	tb.Record(object.ID(maxDense)+1, 0, 9)
-	if got := tb.Lookup(object.ID(maxDense)+1, 0); got != 9 {
-		t.Fatalf("Lookup past dense bound = %d, want 9", got)
+	tr := handTrace()
+	tr.Files = append(tr.Files, trace.FileInfo{ID: -3, Size: 1 << 20})
+	if _, err := cluster.New(config(), tr); err == nil {
+		t.Fatal("a trace declaring file -3 was built")
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -59,12 +60,22 @@ type RunView struct {
 	Result *edm.Result `json:"result,omitempty"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeRunRequest reads a POST /v1/runs body: a RunRequest object with
+// no unknown fields.
+func decodeRunRequest(body io.Reader) (RunRequest, error) {
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, fmt.Errorf("server: bad request body: %w", err))
+		return req, fmt.Errorf("server: bad request body: %w", err)
+	}
+	return req, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRunRequest(r.Body)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 	st, err := s.Submit(req)

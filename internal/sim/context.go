@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 )
 
 // CancelCheckInterval is the number of events RunContext fires between
@@ -26,7 +27,7 @@ const CancelCheckInterval = 4096
 func (e *Engine) RunContext(ctx context.Context) error {
 	e.guard()
 	defer func() { e.running = false }()
-	return e.runLoop(ctx, 0)
+	return e.runLoop(ctx, noTarget)
 }
 
 // RunContextFired executes events until exactly target events have been
@@ -45,13 +46,17 @@ func (e *Engine) RunContextFired(ctx context.Context, target uint64) error {
 	return e.runLoop(ctx, target)
 }
 
-// runLoop is the shared body of RunContext and RunContextFired:
-// target == 0 drains the queue, target > 0 stops at that fired count.
-// The sampler and checkpoint hooks, when armed, run between events.
+// noTarget is RunContext's target: a fired count no run reaches.
+const noTarget = math.MaxUint64
+
+// runLoop is the shared body of RunContext and RunContextFired: it
+// stops once target events have fired, or drains the queue short of it
+// (an error unless target is noTarget). The sampler and checkpoint
+// hooks, when armed, run between events.
 func (e *Engine) runLoop(ctx context.Context, target uint64) error {
 	done := ctx.Done()
 	ck := e.ck
-	if done == nil && ck == nil && e.smp == nil && target == 0 {
+	if done == nil && ck == nil && e.smp == nil && target == noTarget {
 		for e.Step() {
 		}
 		return nil
@@ -68,14 +73,14 @@ func (e *Engine) runLoop(ctx context.Context, target uint64) error {
 			}
 		}
 		for i := 0; i < CancelCheckInterval; i++ {
-			if target != 0 && e.fired >= target {
+			if e.fired >= target {
 				return nil
 			}
 			if e.smp != nil {
 				e.sample()
 			}
 			if !e.Step() {
-				if target != 0 && e.fired < target {
+				if target != noTarget {
 					return fmt.Errorf("sim: queue drained after %d events, short of target %d", e.fired, target)
 				}
 				return nil

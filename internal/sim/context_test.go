@@ -243,3 +243,19 @@ func TestScheduleBelowLastTaken(t *testing.T) {
 		t.Fatalf("fired %v, want %s", log, want)
 	}
 }
+
+// TestRunContextFiredZeroFiresNothing replays a fresh engine to event 0:
+// the target is already reached, so nothing fires and the queue stays
+// as it was.
+func TestRunContextFiredZeroFiresNothing(t *testing.T) {
+	e := New()
+	for i := 0; i < 5; i++ {
+		e.After(Time(i+1), func(Time) { t.Error("an event fired on the way to event 0") })
+	}
+	if err := e.RunContextFired(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if e.Fired() != 0 || e.Pending() != 5 {
+		t.Fatalf("fired %d, pending %d: want 0 and 5", e.Fired(), e.Pending())
+	}
+}

@@ -222,8 +222,8 @@ func (t *Trace) Validate() error {
 	}
 	sizes := make(map[FileID]int64, len(t.Files))
 	for _, f := range t.Files {
-		if f.Size < 0 {
-			return fmt.Errorf("trace: file %d has negative size", f.ID)
+		if f.ID < 0 || f.Size < 0 {
+			return fmt.Errorf("trace: file %d has a negative id or size", f.ID)
 		}
 		if _, dup := sizes[f.ID]; dup {
 			return fmt.Errorf("trace: duplicate file %d", f.ID)

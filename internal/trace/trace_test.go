@@ -417,6 +417,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("negative user count should fail validation")
 	}
 	tr.Users = 1
+	tr.Files[0].ID, tr.Records[0].File = -1, -1
+	if err := tr.Validate(); err == nil {
+		t.Fatal("negative file id should fail validation")
+	}
+	tr.Files[0].ID, tr.Records[0].File = 1, 1
 	tr.Files = append(tr.Files, FileInfo{ID: 1, Size: 1})
 	if err := tr.Validate(); err == nil {
 		t.Fatal("duplicate file should fail validation")

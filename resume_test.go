@@ -3,8 +3,10 @@ package edm
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"os"
 	"testing"
 
 	"edm/internal/snapshot"
@@ -178,5 +180,76 @@ func TestCheckpointTriggerWritesDemandFrame(t *testing.T) {
 func TestWithCheckAudits(t *testing.T) {
 	if _, err := Run(context.Background(), quickSpec(PolicyHDF), WithCheck()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFramesOfAnEarlierBuild pins the frame format across versions of
+// the code. testdata/home02-hdf-s80-seed7.ckpt holds four frames, at
+// events 20000 to 80000 (the remapping table is empty in the first two
+// and holds the midpoint shuffle's entries in the last two), and
+// .result.json the uninterrupted result, both written by an older
+// edmsim with
+//
+//	edmsim -workload home02 -scale 80 -policy hdf -seed 7 \
+//	    -checkpoint-every 20000 -checkpoint home02-hdf-s80-seed7.ckpt -json
+//
+// Resuming from each frame must reproduce the result bytes, and the
+// same run now must write the same frames.
+func TestFramesOfAnEarlierBuild(t *testing.T) {
+	ctx := context.Background()
+	stream, err := os.ReadFile("testdata/home02-hdf-s80-seed7.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/home02-hdf-s80-seed7.result.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented := func(res *Result) []byte {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(res); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+
+	// A frame is a 48-byte header, whose bytes 12..16 give the payload
+	// length, and the payload. Cutting the stream after a frame makes
+	// that frame the one Resume reads.
+	frames := 0
+	for end := 0; end < len(stream); frames++ {
+		end += 48 + int(binary.LittleEndian.Uint32(stream[end+12:]))
+		res, err := Resume(ctx, bytes.NewReader(stream[:end]))
+		if err != nil {
+			t.Fatalf("frame %d: %v", frames, err)
+		}
+		if got := indented(res); !bytes.Equal(got, want) {
+			t.Fatalf("resumed from frame %d:\n%s\nwant:\n%s", frames, got, want)
+		}
+	}
+	if frames != 4 {
+		t.Fatalf("stream holds %d frames, want 4", frames)
+	}
+
+	snap, err := snapshot.ReadLast(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec Spec
+	if err := json.Unmarshal(snap.SpecJSON, &spec); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	res, err := Run(ctx, spec, WithCheckpoint(&again, 20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), stream) {
+		t.Fatalf("the run writes %d bytes of frames that differ from the %d checked in", again.Len(), len(stream))
+	}
+	if got := indented(res); !bytes.Equal(got, want) {
+		t.Fatalf("the run's result differs from the checked-in one:\n%s", got)
 	}
 }
