@@ -85,7 +85,7 @@ func BenchmarkTemperatureTouch(b *testing.B) {
 	tr := temperature.New(temperature.DefaultInterval)
 	const slots = 4096
 	for i := 0; i < slots; i++ {
-		tr.InstallAt(temperature.Slot(i), temperature.ObjectID(i))
+		tr.InstallAt(temperature.Slot(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

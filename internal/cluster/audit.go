@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"edm/internal/object"
-	"edm/internal/temperature"
 )
 
 // Audit verifies the cluster's end-of-run conservation laws and returns
@@ -20,11 +19,10 @@ import (
 //     u_r lies in [0,1).
 //   - objects: each store's directory matches its flash footprint, and
 //     mapped flash pages never exceed the store's allocation.
-//   - temperature: every live store slot's tracker row is bound to the
-//     same object, and the tracker holds no other rows — the replay,
-//     mover and rebuilder address both tables by one handle.
-//   - remap: every object is resident on exactly one OSD, the one its
-//     owner row (the remapping table's view) points to.
+//   - remap: every object is resident on exactly one OSD, read from
+//     the stores' own slots; its owner and slot rows (the remapping
+//     table's view) point at that copy, and every row points at a live
+//     slot holding its object.
 //   - migration/rebuild: the remap table's recorded move count equals
 //     committed migration moves plus rebuilt objects.
 //   - placement: while all recorded moves are intra-group (HDF/CDF and
@@ -71,23 +69,19 @@ func (c *Cluster) Audit() []string {
 		}
 		for _, sl := range o.Store.SortedIndices() {
 			id := o.Store.IDAt(sl)
-			if !o.Tracker.BoundTo(temperature.Slot(sl), temperature.ObjectID(id)) {
-				fail("temperature: osd %d: object %d at store slot %d has no tracker row bound to it", o.ID, id, sl)
-			}
 			if prev, dup := owners[id]; dup {
 				fail("remap: object %d resident on both osd %d and osd %d", id, prev, o.ID)
 				continue
 			}
 			owners[id] = o.ID
-		}
-		if st, tr := o.Store.Len(), o.Tracker.Len(); st != tr {
-			fail("temperature: osd %d: tracker holds %d rows for %d stored objects", o.ID, tr, st)
+			if oi := c.indexOf(id); oi < 0 || int(c.owner[oi]) != o.ID || c.oslot[oi] != sl {
+				fail("remap: object %d resident on osd %d slot %d but no row points at it", id, o.ID, sl)
+			}
 		}
 	}
 
-	// The dense metadata tables are caches over the authoritative stores;
-	// every row must agree with them: the recorded owner holds the object
-	// at the recorded slot, and the home matches the placement function.
+	// Every dense row points at a live slot holding its object, and the
+	// home matches the placement function.
 	for oi := range c.oids {
 		id := c.oids[oi]
 		own := int(c.owner[oi])
@@ -95,21 +89,11 @@ func (c *Cluster) Audit() []string {
 			fail("dense: object %d owner %d out of range [0,%d)", id, own, len(c.osds))
 			continue
 		}
-		if sl, ok := c.osds[own].Store.Lookup(id); !ok {
-			fail("dense: object %d not resident on recorded owner osd %d", id, own)
-		} else if sl != c.oslot[oi] {
-			fail("dense: object %d at slot %d on osd %d, table records slot %d", id, sl, own, c.oslot[oi])
+		if held, ok := c.osds[own].Store.Holds(c.oslot[oi]); !ok || held != id {
+			fail("dense: object %d not resident at its recorded slot %d on osd %d", id, c.oslot[oi], own)
 		}
 		if int(c.ohome[oi]) != c.objectHome(id) {
 			fail("dense: object %d home table says osd %d, placement says osd %d", id, c.ohome[oi], c.objectHome(id))
-		}
-	}
-
-	// Each resident object is found where locate points; the rows
-	// above hold every table entry to a live object the other way.
-	for id, osd := range owners {
-		if at := c.locate(id); at != osd {
-			fail("remap: object %d resident on osd %d but lookup resolves to osd %d", id, osd, at)
 		}
 	}
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"edm/internal/migration"
-	"edm/internal/temperature"
 )
 
 // checkedRun replays the tiny workload under HDF midpoint migration and
@@ -50,17 +49,28 @@ func TestAuditFlagsInjectedCorruption(t *testing.T) {
 		{"round in flight", func(c *Cluster) { c.migrating = true }, "round still in flight"},
 		{"move accounting", func(c *Cluster) { c.movesCommitted++ }, "remap table recorded"},
 		{"lost completion", func(c *Cluster) { c.completedOps-- }, "operations completed"},
-		// The replay, mover and rebuilder address a store slot and its
-		// tracker row by one handle: a live object's row must stay bound
-		// to it, and the tracker may hold no other rows.
-		{"unbound tracker row", func(c *Cluster) {
-			o := c.osds[0]
-			o.Tracker.ForgetAt(temperature.Slot(o.Store.SortedIndices()[0]))
-		}, "has no tracker row bound to it"},
-		{"orphan tracker row", func(c *Cluster) {
-			o := c.osds[0]
-			o.Tracker.InstallAt(temperature.Slot(o.Store.Len()+1000), 1<<40)
-		}, "tracker holds"},
+		// Residency is read from the stores' own slots; the owner and
+		// slot rows must point at exactly those copies.
+		{"row points at another slot", func(c *Cluster) {
+			o := c.osds[c.owner[0]]
+			for _, sl := range o.Store.SortedIndices() {
+				if sl != c.oslot[0] {
+					c.oslot[0] = sl
+					return
+				}
+			}
+		}, "not resident at its recorded slot"},
+		{"second copy", func(c *Cluster) {
+			other := (int(c.owner[0]) + 1) % len(c.osds)
+			if _, err := c.osds[other].Store.CreateIndexed(c.oids[0], 4096); err != nil {
+				panic(err)
+			}
+		}, "resident on both"},
+		{"copy without a row", func(c *Cluster) {
+			if _, err := c.osds[0].Store.CreateIndexed(1<<40, 4096); err != nil {
+				panic(err)
+			}
+		}, "no row points at it"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -371,15 +371,6 @@ func (c *Cluster) relocate(oi int32, dst int, slot object.Index) {
 	c.owner[oi], c.oslot[oi] = int32(dst), slot
 }
 
-// locate returns the OSD holding a traced object, or −1 for an id
-// outside the trace.
-func (c *Cluster) locate(id object.ID) int {
-	if oi := c.indexOf(id); oi >= 0 {
-		return int(c.owner[oi])
-	}
-	return -1
-}
-
 // rankOf returns the file's dense rank, or −1 for files outside the
 // trace. Sparse file ids (a decoded trace may use any int64) resolve
 // through rankByID.
@@ -533,7 +524,7 @@ func (c *Cluster) createFiles() error {
 			if err != nil {
 				return fmt.Errorf("cluster: creating object %d on OSD %d: %w", id, osd.ID, err)
 			}
-			osd.Tracker.InstallAt(temperature.Slot(slot), temperature.ObjectID(id))
+			osd.Tracker.InstallAt(temperature.Slot(slot))
 			c.oslot[oi] = slot
 			if _, err := osd.Store.PopulateAt(slot); err != nil {
 				return fmt.Errorf("cluster: populating object %d on OSD %d: %w", id, osd.ID, err)

@@ -4,9 +4,30 @@ import (
 	"testing"
 
 	"edm/internal/migration"
+	"edm/internal/object"
 	"edm/internal/sim"
 	"edm/internal/trace"
 )
+
+// locate returns the OSD the owner column names for a traced object,
+// or −1 for an id outside the trace.
+func (c *Cluster) locate(id object.ID) int {
+	if oi := c.indexOf(id); oi >= 0 {
+		return int(c.owner[oi])
+	}
+	return -1
+}
+
+// storeSlot returns the live slot of st holding id, read from the
+// store's own slots and not from the cluster's tables.
+func storeSlot(st *object.Store, id object.ID) (object.Index, bool) {
+	for _, idx := range st.SortedIndices() {
+		if st.IDAt(idx) == id {
+			return idx, true
+		}
+	}
+	return object.NoIndex, false
+}
 
 // tinyTrace builds a small but non-trivial workload: enough skew for
 // migration to have something to do, small enough for fast tests.
@@ -167,7 +188,7 @@ func TestMigrationPreservesObjectsAndData(t *testing.T) {
 	// Every remapped object must live exactly where the table says.
 	for _, id := range remapEntries(cl) {
 		osd := cl.locate(id)
-		if _, ok := cl.OSD(osd).Store.Lookup(id); !ok {
+		if _, ok := storeSlot(cl.OSD(osd).Store, id); !ok {
 			t.Fatalf("remapped object %d not on OSD %d", id, osd)
 		}
 	}

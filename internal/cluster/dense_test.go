@@ -73,7 +73,7 @@ func TestDenseTablesTrackMigrations(t *testing.T) {
 		if got := cl.indexOf(id); got != int32(oi) {
 			t.Fatalf("object %d: indexOf %d, table row %d", id, got, oi)
 		}
-		slot, ok := cl.osds[own].Store.Lookup(id)
+		slot, ok := storeSlot(cl.osds[own].Store, id)
 		if !ok || slot != cl.oslot[oi] {
 			t.Fatalf("object %d: store slot %d (ok=%v), table slot %d", id, slot, ok, cl.oslot[oi])
 		}

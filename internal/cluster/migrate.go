@@ -244,7 +244,6 @@ func (mv *mover) step(at sim.Time) {
 	if err != nil {
 		c.rejected++
 		dst.Store.DeleteIndexed(mv.dstSlot)
-		dst.Tracker.ForgetAt(temperature.Slot(mv.dstSlot))
 		mv.abort(readDone)
 		return
 	}
@@ -261,22 +260,24 @@ func (mv *mover) step(at sim.Time) {
 // completion time. The object is copied in chunks: each chunk is read
 // through the source OSD's queue, then written through the destination's
 // queue, so migration competes with foreground traffic chunk by chunk.
+// The owner column decides whether the move runs: only while the source
+// owns the object's committed copy and the destination is another
+// device, so a copy still in flight (a rebuild's) is never moved.
 func (c *Cluster) moveObject(m migration.Move, now sim.Time, blocks bool, done func(sim.Time)) {
 	src := c.osds[m.Src]
 	dst := c.osds[m.Dst]
 
 	mv := &mover{c: c, m: m, blocks: blocks, done: done}
 
-	srcSlot, ok := src.Store.Lookup(m.Obj)
-	_, onDst := dst.Store.Lookup(m.Obj)
-	if !ok || onDst || c.failed[m.Src] || c.failed[m.Dst] {
+	oi := c.indexOf(m.Obj)
+	if oi < 0 || int(c.owner[oi]) != m.Src || m.Dst == m.Src || c.failed[m.Src] || c.failed[m.Dst] {
 		// The object moved or vanished since planning, or a device
 		// failed in the meantime; skip.
 		mv.abort(now)
 		return
 	}
-	mv.srcSlot = srcSlot
-	size := src.Store.SizeAt(srcSlot)
+	mv.srcSlot = c.oslot[oi]
+	size := src.Store.SizeAt(mv.srcSlot)
 	mv.size = size
 	dstSlot, err := dst.Store.CreateIndexed(m.Obj, size)
 	if err != nil {
@@ -287,9 +288,9 @@ func (c *Cluster) moveObject(m migration.Move, now sim.Time, blocks bool, done f
 		return
 	}
 	mv.dstSlot = dstSlot
-	// Bind the destination tracker row up front so the commit's ImportAt
-	// lands on a slot that is already the object's.
-	dst.Tracker.InstallAt(temperature.Slot(dstSlot), temperature.ObjectID(m.Obj))
+	// Clear the destination tracker row up front so a recycled slot
+	// carries no old counters while the copy runs.
+	dst.Tracker.InstallAt(temperature.Slot(dstSlot))
 	if c.rec != nil {
 		c.rec.ObjectMoveStart(telemetry.ObjectMoveStart{
 			T: now, Obj: int64(m.Obj), Src: m.Src, Dst: m.Dst,
@@ -308,9 +309,8 @@ func (c *Cluster) commitMove(mv *mover, at sim.Time) {
 	dst := c.osds[m.Dst]
 
 	src.Store.DeleteIndexed(mv.srcSlot)
-	if snap, ok := src.Tracker.ExportAt(temperature.Slot(mv.srcSlot), at); ok {
-		dst.Tracker.ImportAt(temperature.Slot(mv.dstSlot), snap, at)
-	}
+	snap := src.Tracker.ExportAt(temperature.Slot(mv.srcSlot), at)
+	dst.Tracker.ImportAt(temperature.Slot(mv.dstSlot), snap, at)
 	c.relocate(c.indexOf(m.Obj), m.Dst, mv.dstSlot)
 	c.movesCommitted++
 	if c.rec != nil {

@@ -31,7 +31,7 @@ func TestMoverTransfersObjectWithHistory(t *testing.T) {
 		t.Skip("no objects on OSD 0")
 	}
 	obj := ids[0]
-	slot, _ := src.Store.Lookup(obj)
+	slot, _ := storeSlot(src.Store, obj)
 	pages := src.Store.PagesAt(slot)
 	// Give the object some temperature history to carry over.
 	src.Tracker.TouchWrite(temperature.Slot(slot), 7, 0)
@@ -46,10 +46,10 @@ func TestMoverTransfersObjectWithHistory(t *testing.T) {
 	if doneAt < 0 {
 		t.Fatal("move never completed")
 	}
-	if _, ok := src.Store.Lookup(obj); ok {
+	if _, ok := storeSlot(src.Store, obj); ok {
 		t.Fatal("source still holds the object")
 	}
-	dslot, ok := cl.OSD(dst).Store.Lookup(obj)
+	dslot, ok := storeSlot(cl.OSD(dst).Store, obj)
 	if !ok {
 		t.Fatal("destination missing the object")
 	}
@@ -108,7 +108,7 @@ func TestMoverAbortsWhenDestinationFull(t *testing.T) {
 		// Destination already nearly full — also fine for this test.
 		t.Logf("prefill: %v", err)
 	}
-	slot, _ := src.Store.Lookup(obj)
+	slot, _ := storeSlot(src.Store, obj)
 	free := dst.Store.CapacityPages() - dst.Store.UsedPages()
 	if free*dst.Store.PageSize() >= src.Store.SizeAt(slot) {
 		t.Skip("could not exhaust destination")
@@ -122,7 +122,7 @@ func TestMoverAbortsWhenDestinationFull(t *testing.T) {
 	if !done {
 		t.Fatal("aborted move never completed its callback")
 	}
-	if _, ok := src.Store.Lookup(obj); !ok {
+	if _, ok := storeSlot(src.Store, obj); !ok {
 		t.Fatal("source copy lost on aborted move")
 	}
 	if cl.rejected == 0 {

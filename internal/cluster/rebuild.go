@@ -92,19 +92,21 @@ func (c *Cluster) startRebuild(failedOSD int, now sim.Time) {
 
 // rebuildObject reconstructs one object onto dst, chunk by chunk: each
 // chunk reads the stripe's surviving objects and programs the rebuilt
-// data. done receives the commit time.
+// data. done receives the commit time. Only an object whose committed
+// copy the failed device owns is rebuilt; a move's copy in flight onto
+// it is not.
 func (c *Cluster) rebuildObject(obj object.ID, failedOSD, dst int, now sim.Time, done func(sim.Time)) {
 	srcStore := c.osds[failedOSD].Store
-	srcSlot, ok := srcStore.Lookup(obj)
-	if !ok || c.failed[dst] {
-		done(now)
-		return
-	}
-	size := srcStore.SizeAt(srcSlot)
 	k := c.cfg.ObjectsPerFile
 	file := trace.FileID(int64(obj) / int64(k))
 	idx := int(int64(obj) % int64(k))
 	oi := c.objIndex(file, idx)
+	if int(c.owner[oi]) != failedOSD || c.failed[dst] {
+		done(now)
+		return
+	}
+	srcSlot := c.oslot[oi]
+	size := srcStore.SizeAt(srcSlot)
 
 	// Verify the stripe is reconstructible: all k−1 peers alive.
 	var peers []int32
@@ -128,16 +130,15 @@ func (c *Cluster) rebuildObject(obj object.ID, failedOSD, dst int, now sim.Time,
 		done(now)
 		return
 	}
-	target.Tracker.InstallAt(temperature.Slot(tslot), temperature.ObjectID(obj))
+	target.Tracker.InstallAt(temperature.Slot(tslot))
 
 	var step func(off int64, at sim.Time)
 	step = func(off int64, at sim.Time) {
 		if off >= size || size == 0 {
 			// Commit: the object now lives on dst.
 			srcStore.DeleteIndexed(srcSlot) // directory bookkeeping; the device is dead
-			if snap, ok := c.osds[failedOSD].Tracker.ExportAt(temperature.Slot(srcSlot), at); ok {
-				target.Tracker.ImportAt(temperature.Slot(tslot), snap, at)
-			}
+			snap := c.osds[failedOSD].Tracker.ExportAt(temperature.Slot(srcSlot), at)
+			target.Tracker.ImportAt(temperature.Slot(tslot), snap, at)
 			c.relocate(oi, dst, tslot)
 			c.rebuilt++
 			c.rebuiltBytes += size
@@ -180,7 +181,6 @@ func (c *Cluster) rebuildObject(obj object.ID, failedOSD, dst int, now sim.Time,
 		if err != nil {
 			c.rejected++
 			target.Store.DeleteIndexed(tslot)
-			target.Tracker.ForgetAt(temperature.Slot(tslot))
 			done(readDone)
 			return
 		}

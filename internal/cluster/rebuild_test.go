@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
+	"edm/internal/migration"
+	"edm/internal/object"
 	"edm/internal/sim"
 )
 
@@ -44,7 +47,7 @@ func TestRebuildRestoresFullService(t *testing.T) {
 		if loc == 3 {
 			t.Fatalf("object %d still routed to the failed device", id)
 		}
-		if _, ok := cl.OSD(loc).Store.Lookup(id); !ok {
+		if _, ok := storeSlot(cl.OSD(loc).Store, id); !ok {
 			t.Fatalf("object %d missing at %d", id, loc)
 		}
 		if cl.layout.GroupOf(loc) != cl.layout.GroupOf(3) && cl.objectHome(id) != loc {
@@ -124,5 +127,65 @@ func TestRebuildWithoutFailureIsNoop(t *testing.T) {
 	}
 	if res.RebuiltObjects != 0 {
 		t.Fatalf("rebuilt %d objects on a healthy cluster", res.RebuiltObjects)
+	}
+}
+
+// TestMoveOfRebuildCopyInFlightIsSkipped plans a move of an object whose
+// rebuilt copy is still being written on its target. The target's store
+// already lists the copy, but the owner column still names the failed
+// device, so the move must be skipped, the rebuild must commit the
+// object on its target, and the audit must stay clean.
+func TestMoveOfRebuildCopyInFlightIsSkipped(t *testing.T) {
+	tr := tinyTrace(t, 40)
+	cl, err := New(testConfig(16), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lostObjects := cl.OSD(3).Store.Len()
+	cl.FailOSD(3, sim.Millisecond)
+	cl.Rebuild(3, 2*sim.Millisecond)
+	planner := &stubPlanner{}
+	cl.planner = planner
+	var obj object.ID
+	target := -1
+	// Fires after the rebuild's start at the same instant, so its first
+	// copy with data to write is in flight.
+	cl.eng.At(2*sim.Millisecond, func(now sim.Time) {
+		for _, o := range cl.osds {
+			for _, sl := range o.Store.SortedIndices() {
+				if id := o.Store.IDAt(sl); o.ID != 3 && cl.locate(id) == 3 {
+					obj, target = id, o.ID
+					for _, p := range cl.layout.GroupMembers(o.Group) {
+						if p != o.ID && !cl.failed[p] {
+							planner.moves = []migration.Move{{Obj: id, Src: o.ID, Dst: p,
+								Pages: o.Store.PagesAt(sl), Bytes: o.Store.SizeAt(sl)}}
+							break
+						}
+					}
+				}
+			}
+		}
+		cl.maybeMigrate(now, true)
+	})
+	res, err := cl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(planner.moves) == 0 {
+		t.Fatal("no rebuilt copy was in flight when the move was planned")
+	}
+	if cl.movesCommitted != 0 {
+		t.Fatalf("the move of object %d off its in-flight copy on osd %d committed", obj, target)
+	}
+	if res.RebuiltObjects != lostObjects {
+		t.Fatalf("rebuilt %d of %d objects", res.RebuiltObjects, lostObjects)
+	}
+	oi := cl.indexOf(obj)
+	if slot, ok := storeSlot(cl.OSD(target).Store, obj); !ok || int(cl.owner[oi]) != target || cl.oslot[oi] != slot {
+		t.Fatalf("object %d: rows say osd %d slot %d, want the rebuilt copy on osd %d slot %d (held %v)",
+			obj, cl.owner[oi], cl.oslot[oi], target, slot, ok)
+	}
+	if v := cl.Audit(); len(v) != 0 {
+		t.Fatalf("audit violations:\n%s", strings.Join(v, "\n"))
 	}
 }

@@ -50,7 +50,7 @@ func (c *Cluster) ExportState() *State {
 		fnvx.New().String(c.tr.Name).Int(len(c.tr.Records)).Int(len(c.tr.Files)).Int(c.tr.Users).Sum())
 	for _, o := range c.osds {
 		s.Sections = append(s.Sections,
-			o.SSD.StateDigest(), o.Store.StateDigest(), o.Tracker.StateDigest(), o.stateDigest())
+			o.SSD.StateDigest(), o.Store.StateDigest(), o.Tracker.StateDigest(o.Store), o.stateDigest())
 	}
 	return s
 }

@@ -21,9 +21,9 @@ func TestCloneIsIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		idx, _ := st.Lookup(3)
+		idx, _ := slotOf(st, 3)
 		st.DeleteIndexed(idx)
-		idx, _ = st.Lookup(5)
+		idx, _ = slotOf(st, 5)
 		if _, err := st.WriteAt(idx, 0, 20*4096); err != nil { // grows into a spill extent
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestCloneIsIndependent(t *testing.T) {
 			if _, err := s.WriteAt(idx, 0, 5*4096); err != nil {
 				t.Fatal(err)
 			}
-			old, _ := s.Lookup(5)
+			old, _ := slotOf(s, 5)
 			s.DeleteIndexed(old)
 		}
 		mutate(c)
@@ -72,7 +72,7 @@ func fullStore(t *testing.T) *Store {
 		}
 	}
 	for id := ID(100); id < 130; id += 3 {
-		idx, _ := st.Lookup(id)
+		idx, _ := slotOf(st, id)
 		st.DeleteIndexed(idx)
 	}
 	st.SortedIndices()
@@ -103,7 +103,7 @@ var storeFields = map[string]string{
 	"ids": fieldSealed, "sizes": fieldSealed, "npages": fieldSealed, "ext0": fieldSealed,
 	"spill": fieldSealed, "inUse": fieldSealed, "freeSlots": fieldSealed, "live": fieldSealed,
 	"free": fieldSealed, "usedPgs": fieldSealed,
-	"byID": fieldIndex, "sorted": fieldIndex, "sortedOK": fieldIndex,
+	"sorted": fieldIndex, "sortedOK": fieldIndex,
 	"allocBuf": fieldProbe,
 }
 
@@ -113,7 +113,7 @@ func TestFieldsAreClassified(t *testing.T) {
 	for id := ID(1); id <= 4; id++ {
 		mustCreate(t, st, id, 3*4096)
 	}
-	idx, _ := st.Lookup(2)
+	idx, _ := slotOf(st, 2)
 	if _, err := st.WriteAt(idx, 0, 20*4096); err != nil { // a spill extent
 		t.Fatal(err)
 	}

@@ -14,15 +14,15 @@ func TestIndexStableAcrossOtherDeletes(t *testing.T) {
 	for i := range idx {
 		idx[i] = mustCreate(t, st, ID(i), 4096)
 	}
-	idx3, ok := st.Lookup(3)
+	idx3, ok := slotOf(st, 3)
 	if !ok || idx3 != idx[3] {
-		t.Fatalf("Lookup(3) = %d (ok=%v), CreateIndexed returned %d", idx3, ok, idx[3])
+		t.Fatalf("object 3 at slot %d (ok=%v), CreateIndexed returned %d", idx3, ok, idx[3])
 	}
 	for _, id := range []ID{0, 2, 6} {
 		st.DeleteIndexed(idx[id])
 	}
 	mustCreate(t, st, 100, 4096)
-	if now, ok := st.Lookup(3); !ok || now != idx3 {
+	if now, ok := slotOf(st, 3); !ok || now != idx3 {
 		t.Fatalf("object 3 index moved from %d to %d (ok=%v)", idx3, now, ok)
 	}
 	if st.IDAt(idx3) != 3 {
@@ -40,7 +40,7 @@ func TestIndexReuseAfterDelete(t *testing.T) {
 	for id := ID(0); id < 4; id++ {
 		mustCreate(t, st, id, 4096)
 	}
-	freed, _ := st.Lookup(2)
+	freed, _ := slotOf(st, 2)
 	st.DeleteIndexed(freed)
 	idx := mustCreate(t, st, 99, 4096)
 	if idx != freed {
@@ -72,7 +72,7 @@ func TestSortedIndicesTracksChurn(t *testing.T) {
 	}
 	for _, op := range ops {
 		if op.del {
-			idx, ok := st.Lookup(op.id)
+			idx, ok := slotOf(st, op.id)
 			if !ok {
 				t.Fatalf("object %d missing before delete", op.id)
 			}
@@ -109,8 +109,10 @@ func TestEmptyStoreDenseViews(t *testing.T) {
 	if got := st.SortedIndices(); len(got) != 0 {
 		t.Fatalf("empty store SortedIndices = %v", got)
 	}
-	if _, ok := st.Lookup(1); ok {
-		t.Fatal("Lookup on empty store returned ok")
+	for _, idx := range []Index{NoIndex, 0, 1} {
+		if id, ok := st.Holds(idx); ok {
+			t.Fatalf("Holds(%d) on an empty store = object %d", idx, id)
+		}
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)

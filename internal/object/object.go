@@ -7,15 +7,15 @@
 // Index handle: parallel slices hold each object's id, size, page count
 // and first extent, with overflow extents spilled to a side slice. The
 // handle is minted at creation and stays valid until the object is
-// deleted, and every operation addresses the object by it, so callers
-// (the cluster replay loop) resolve an object once and then work by
-// plain slice indexing. Lookup is the one id→handle resolver.
+// deleted, and every operation addresses the object by it. The store
+// keeps no id index: the cluster's directory (its owner and slot
+// columns) resolves an id to its device and handle, and the store's
+// slots are the one record of which object each handle holds.
 package object
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -61,7 +61,6 @@ type Store struct {
 	spill  [][]extent
 	inUse  []bool
 
-	byID      map[ID]Index // id → handle (Lookup, duplicate-create check)
 	freeSlots []Index
 	live      int
 
@@ -100,11 +99,6 @@ func (st *Store) Clone(ssd *flash.SSD, dst *Store) *Store {
 	if dst == nil {
 		dst = &Store{}
 	}
-	if dst.byID == nil {
-		dst.byID = make(map[ID]Index, len(st.byID))
-	}
-	clear(dst.byID)
-	maps.Copy(dst.byID, st.byID)
 	spill := slices.Grow(dst.spill[:0], len(st.spill))[:len(st.spill)]
 	for i, sp := range st.spill {
 		spill[i] = append(spill[i][:0], sp...)
@@ -118,7 +112,6 @@ func (st *Store) Clone(ssd *flash.SSD, dst *Store) *Store {
 		ext0:      append(dst.ext0[:0], st.ext0...),
 		spill:     spill,
 		inUse:     append(dst.inUse[:0], st.inUse...),
-		byID:      dst.byID,
 		freeSlots: append(dst.freeSlots[:0], st.freeSlots...),
 		live:      st.live,
 		sorted:    dst.sorted[:0],
@@ -147,14 +140,17 @@ func (st *Store) UsedPages() int64 { return st.usedPgs }
 // CapacityPages returns the usable logical page count.
 func (st *Store) CapacityPages() int64 { return st.ssd.MaxLivePages() }
 
-// Lookup resolves an object id to its dense handle.
-func (st *Store) Lookup(id ID) (Index, bool) {
-	idx, ok := st.byID[id]
-	return idx, ok
-}
-
 // IDAt returns the id of the object at idx.
 func (st *Store) IDAt(idx Index) ID { return st.ids[idx] }
+
+// Holds returns the id of the object at idx and whether idx is a live
+// slot; it reports false for a freed slot or one past the table.
+func (st *Store) Holds(idx Index) (ID, bool) {
+	if idx < 0 || int(idx) >= len(st.ids) || !st.inUse[idx] {
+		return 0, false
+	}
+	return st.ids[idx], true
+}
 
 // SizeAt returns the size in bytes of the object at idx.
 func (st *Store) SizeAt(idx Index) int64 { return st.sizes[idx] }
@@ -218,12 +214,9 @@ func (st *Store) newSlot() Index {
 // CreateIndexed allocates an object of the given size without writing
 // its data (use PopulateAt for that) and returns its dense handle. It
 // fails with ErrNoSpace if the allocation would exceed the usable
-// logical space, and refuses an id the store already holds: one store
-// never keeps two copies of an object.
+// logical space. The store does not check id for a copy it already
+// holds: the caller's directory decides where an object may be created.
 func (st *Store) CreateIndexed(id ID, size int64) (Index, error) {
-	if _, ok := st.byID[id]; ok {
-		return NoIndex, fmt.Errorf("object: %d already exists", id)
-	}
 	need := st.pagesFor(size)
 	exts, ok := st.alloc(need)
 	if !ok {
@@ -236,7 +229,6 @@ func (st *Store) CreateIndexed(id ID, size int64) (Index, error) {
 	st.ext0[idx] = exts[0]
 	st.spill[idx] = append(st.spill[idx][:0], exts[1:]...)
 	st.inUse[idx] = true
-	st.byID[id] = idx
 	st.live++
 	st.usedPgs += need
 	st.sortedOK = false
@@ -276,7 +268,6 @@ func (st *Store) DeleteIndexed(idx Index) {
 		st.release(e)
 		st.usedPgs -= e.pages
 	}
-	delete(st.byID, st.ids[idx])
 	st.inUse[idx] = false
 	st.spill[idx] = st.spill[idx][:0]
 	st.freeSlots = append(st.freeSlots, idx)
@@ -466,16 +457,10 @@ func (st *Store) CheckInvariants() error {
 		if pages != st.npages[i] {
 			return fmt.Errorf("object: slot %d caches %d pages, extents hold %d", i, st.npages[i], pages)
 		}
-		if got, ok := st.byID[st.ids[i]]; !ok || got != idx {
-			return fmt.Errorf("object: slot %d (object %d) missing from id index", i, st.ids[i])
-		}
 		used += pages
 	}
 	if live != st.live {
 		return fmt.Errorf("object: live=%d, actual %d", st.live, live)
-	}
-	if live != len(st.byID) {
-		return fmt.Errorf("object: id index holds %d entries for %d live objects", len(st.byID), live)
 	}
 	if used != st.usedPgs {
 		return fmt.Errorf("object: usedPgs=%d, actual %d", st.usedPgs, used)

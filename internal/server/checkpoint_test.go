@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"edm"
+	"edm/internal/cluster"
 	"edm/internal/snapshot"
+	"edm/internal/trace"
 )
 
 // midReq is big enough (hundreds of ms of replay) that a demand
@@ -167,6 +169,69 @@ func TestBadResumeRejected(t *testing.T) {
 	_, resp := submit(t, ts, RunRequest{Resume: []byte("not a snapshot frame")})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("submit with garbage resume: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// specFrame seals one frame embedding specJSON and traceData, with an
+// empty state capture: RunRequest.Spec reads only the spec and whether
+// the frame carries its trace.
+func specFrame(t *testing.T, specJSON string, traceData []byte) []byte {
+	t.Helper()
+	snap := &snapshot.Snapshot{FormatVersion: snapshot.Version, SpecJSON: json.RawMessage(specJSON),
+		TraceData: traceData, State: &cluster.State{}}
+	frame, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestResumeSpecChecked pins that a resume frame's embedded spec passes
+// a fresh request's checks at submit: an unknown workload is refused
+// with 400 unknown_workload (not admitted to fail later), a negative
+// scale with 400, and recovery drops a request whose resume payload
+// fails them. A frame that carries its trace needs no known workload.
+func TestResumeSpecChecked(t *testing.T) {
+	unknown := specFrame(t, `{"Workload":"nope","Scale":20,"OSDs":16}`, nil)
+	negative := specFrame(t, `{"Workload":"home02","Scale":-1,"OSDs":16}`, nil)
+	_, _, c := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	for name, tc := range map[string]struct {
+		frame []byte
+		code  string
+	}{"unknown workload": {unknown, "unknown_workload"}, "negative scale": {negative, codeBadRequest}} {
+		_, err := c.Submit(context.Background(), RunRequest{Resume: tc.frame})
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || apiErr.Code != tc.code {
+			t.Errorf("%s: submit answered %v, want 400 %s", name, err, tc.code)
+		}
+	}
+	var encoded bytes.Buffer
+	tr := &trace.Trace{Name: "one", Users: 1, Files: []trace.FileInfo{{ID: 0, Size: 4096}},
+		Records: []trace.Record{{File: 0, Size: 4096, Kind: trace.OpWrite}}}
+	if err := tr.Encode(&encoded); err != nil {
+		t.Fatal(err)
+	}
+	carried := specFrame(t, `{"Workload":"nope","OSDs":4}`, encoded.Bytes())
+	if _, err := (RunRequest{Resume: carried}).Spec(); err != nil {
+		t.Fatalf("a frame carrying its trace was refused for its workload name: %v", err)
+	}
+
+	dir := t.TempDir()
+	reqPath := filepath.Join(dir, "run-3.req")
+	raw, err := json.Marshal(RunRequest{Resume: unknown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(reqPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	logged := captureLog(t)
+	s, rts, _ := startLife(dir)
+	defer rts.Close()
+	defer s.Shutdown(context.Background())
+	requireDropped(t, logged, reqPath)
+	if n := s.Recovered(); n != 0 {
+		t.Fatalf("recovered %d jobs from a request whose resume spec cannot run", n)
 	}
 }
 

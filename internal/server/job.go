@@ -113,8 +113,10 @@ func (r RunRequest) class() (sched.Class, error) {
 // Spec validates the request and converts it to an edm.Spec. The
 // returned error wraps edm.ErrUnknownWorkload for bad workload names,
 // so the HTTP layer can map it to 400. A resume request is validated
-// by decoding its newest frame; the frame's embedded spec is returned
-// (so status views show what is actually running).
+// by decoding its newest frame and checking the frame's embedded spec
+// as a fresh request's: its workload must be known unless the frame
+// carries the trace, and its scale must not be negative. The embedded
+// spec is returned (so status views show what is actually running).
 func (r RunRequest) Spec() (edm.Spec, error) {
 	if r.TimeoutS < 0 {
 		return edm.Spec{}, fmt.Errorf("server: negative timeout_s %v", r.TimeoutS)
@@ -127,6 +129,14 @@ func (r RunRequest) Spec() (edm.Spec, error) {
 		var spec edm.Spec
 		if err := json.Unmarshal(snap.SpecJSON, &spec); err != nil {
 			return edm.Spec{}, fmt.Errorf("server: bad resume spec: %w", err)
+		}
+		if len(snap.TraceData) == 0 {
+			if _, err := trace.Workload(spec.Workload); err != nil {
+				return edm.Spec{}, fmt.Errorf("server: resume spec: %w", err)
+			}
+		}
+		if spec.Scale < 0 {
+			return edm.Spec{}, fmt.Errorf("server: resume spec: negative scale %d", spec.Scale)
 		}
 		return spec, nil
 	}
@@ -206,11 +216,7 @@ type job struct {
 	cancel    context.CancelFunc // set while running
 	cancelled bool               // cancellation requested (any state)
 
-	// resumeFrame is the checkpoint a preemption parked (nil: none was
-	// captured in time; the next attempt restarts — determinism makes
-	// the result identical either way). preemptions counts how many
-	// times this job was preempted.
-	resumeFrame []byte
+	// preemptions counts how many times this job was preempted.
 	preemptions int
 
 	// done is closed exactly once, when the job reaches a terminal
@@ -313,12 +319,12 @@ func (j *job) finish(res *edm.Result, err error) {
 	close(j.done)
 }
 
-// park transitions running → preempted, stashing the checkpoint frame
-// the next attempt resumes from. It refuses when the job is no longer
-// running or a cancellation raced in (the caller then finishes the job
-// as cancelled). The progress counter resets: resume regenerates the
-// run's full telemetry from zero.
-func (j *job) park(frame []byte) bool {
+// park transitions running → preempted; the next attempt resumes from
+// the job's newest frame (resumeSource). It refuses when the job is no
+// longer running or a cancellation raced in (the caller then finishes
+// the job as cancelled). The progress counter resets: resume
+// regenerates the run's full telemetry from zero.
+func (j *job) park() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning || j.cancelled {
@@ -326,20 +332,19 @@ func (j *job) park(frame []byte) bool {
 	}
 	j.state = StatePreempted
 	j.cancel = nil
-	j.resumeFrame = frame
 	j.preemptions++
 	j.completedOps.Store(0)
 	return true
 }
 
 // resumeSource returns the frame stream the next execution attempt
-// should resume from: a parked preemption frame first, then the
-// request's own resume payload, nil for a fresh run.
+// should resume from: the job's newest frame, which a parked attempt
+// left, else the request's own resume payload, nil for a fresh run (a
+// preemption before the first frame restarts; determinism makes the
+// result identical either way).
 func (j *job) resumeSource() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(j.resumeFrame) > 0 {
-		return j.resumeFrame
+	if frame, _ := j.checkpoint(); frame != nil {
+		return frame
 	}
 	if len(j.req.Resume) > 0 {
 		return j.req.Resume

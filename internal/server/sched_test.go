@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"edm"
 )
 
 // scrapeMetric fetches one gauge from /metricsz.
@@ -218,4 +220,32 @@ func TestPreemptedStateVisible(t *testing.T) {
 	}
 	delResp2.Body.Close()
 	waitState(t, c, ist.ID, "", 10*time.Second)
+}
+
+// TestParkResumesFromNewestFrame pins where a parked job's next attempt
+// starts: the newest frame its attempts wrote, so a job parked twice
+// resumes from its second frame, and a job parked before writing any
+// frame from its request's resume payload.
+func TestParkResumesFromNewestFrame(t *testing.T) {
+	j := newJob("run-1", RunRequest{Resume: []byte("request frame")}, edm.Spec{})
+	for i, frame := range []string{"", "first frame", "second frame"} {
+		if !j.begin(func() {}) {
+			t.Fatalf("attempt %d did not begin", i+1)
+		}
+		if frame != "" {
+			if _, err := (frameWriter{j}).Write([]byte(frame)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !j.park() {
+			t.Fatalf("attempt %d did not park", i+1)
+		}
+		want := frame
+		if want == "" {
+			want = "request frame"
+		}
+		if got := string(j.resumeSource()); got != want {
+			t.Fatalf("after parking attempt %d the job resumes from %q, want %q", i+1, got, want)
+		}
+	}
 }

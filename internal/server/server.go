@@ -531,8 +531,7 @@ func (s *Server) runJob(j *job, tk *sched.Ticket) {
 	// force-drained (then the cancel must stick).
 	if wasPreempted.Load() && errors.Is(err, context.Canceled) &&
 		!j.cancelRequested() && s.baseCtx.Err() == nil {
-		frame, _ := j.checkpoint()
-		if j.park(frame) {
+		if j.park() {
 			s.preempted.Add(1)
 			s.sched.Requeue(tk)
 			return

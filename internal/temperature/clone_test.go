@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"edm/internal/object"
 	"edm/internal/sim"
 )
 
@@ -13,13 +14,13 @@ import (
 // and leave the original untouched when it alone changes.
 func TestCloneIsIndependent(t *testing.T) {
 	for _, dst := range []*Tracker{nil, longTracker()} {
-		tr := New(sim.Minute)
+		st, tr := newStore(t), New(sim.Minute)
 		for s := Slot(0); s < 4; s++ {
-			tr.InstallAt(s, ObjectID(s+10))
+			tr.InstallAt(create(t, st, object.ID(s+10)))
 			tr.TouchWrite(s, int(s)+1, sim.Time(s)*sim.Minute)
 		}
-		tr.ForgetAt(2)
-		digest := func(x *Tracker) uint64 { return x.StateDigest() }
+		st.DeleteIndexed(2)
+		digest := func(x *Tracker) uint64 { return x.StateDigest(st) }
 		c := tr.Clone(dst)
 		if digest(c) != digest(tr) {
 			t.Fatal("clone digests differ")
@@ -27,7 +28,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		before := digest(tr)
 		mutate := func(x *Tracker) {
 			x.TouchRead(1, 7, 9*sim.Minute)
-			x.InstallAt(5, 99)
+			x.InstallAt(5)
 			x.ResetWindow()
 		}
 		mutate(c)
@@ -46,7 +47,7 @@ func TestCloneIsIndependent(t *testing.T) {
 func longTracker() *Tracker {
 	tr := New(sim.Second)
 	for s := Slot(0); s < 12; s++ {
-		tr.InstallAt(s, ObjectID(s+100))
+		tr.InstallAt(s)
 		tr.TouchWrite(s, 3, sim.Time(s)*sim.Second)
 		tr.TouchRead(s, 2, sim.Time(s)*sim.Second)
 	}
@@ -72,8 +73,7 @@ const (
 // trackerFields classifies every Tracker field: TestFieldsAreClassified
 // fails on a new field until it is named here.
 var trackerFields = map[string]string{
-	"interval": fieldSealed, "live": fieldSealed,
-	"ids": fieldSealed, "used": fieldSealed, "epoch": fieldSealed, "wTemp": fieldSealed,
+	"interval": fieldSealed, "epoch": fieldSealed, "wTemp": fieldSealed,
 	"tTemp": fieldSealed, "wAcc": fieldSealed, "tAcc": fieldSealed, "winW": fieldSealed,
 	"cumW": fieldSealed, "cumR": fieldSealed,
 }
@@ -82,7 +82,7 @@ func TestFieldsAreClassified(t *testing.T) {
 	requireClassified(t, reflect.TypeOf(Tracker{}), trackerFields)
 	tr := New(sim.Minute)
 	for s := Slot(0); s < 4; s++ {
-		tr.InstallAt(s, ObjectID(s+10))
+		tr.InstallAt(s)
 		tr.TouchWrite(s, 1, 0)
 	}
 	requireNoSharedMemory(t, tr, tr.Clone(nil), trackerFields)

@@ -21,10 +21,11 @@
 // objects cost nothing per tick.
 //
 // Storage is struct-of-arrays: each per-object counter lives in its own
-// slice, indexed by a Slot handle assigned by the caller (the cluster
-// aligns Slot with object.Index so the replay hot path touches a handful
-// of cache lines and allocates nothing). Every operation addresses an
-// object by its slot; the tracker keeps no id index of its own.
+// slice, indexed by a Slot handle that is the object's object.Index in
+// the OSD's store, so the replay hot path touches a handful of cache
+// lines and allocates nothing. The tracker holds only Definition 1's
+// counters: which object a row belongs to, and whether it belongs to
+// one at all, is the store's record, which StateDigest reads.
 package temperature
 
 import (
@@ -38,12 +39,8 @@ import (
 // temperatures on a one-minute cadence (§III.B.2).
 const DefaultInterval = sim.Minute
 
-// ObjectID identifies an object; it mirrors object.ID without importing
-// the package (temperature is a leaf dependency).
-type ObjectID int64
-
-// Slot is a dense row handle into the tracker's tables. Slots are
-// assigned by InstallAt and freed by ForgetAt/ExportAt.
+// Slot is a dense row handle into the tracker's tables: the store slot
+// of the object whose counters the row holds.
 type Slot int32
 
 // Tracker records accesses for one OSD's objects. Objects migrate
@@ -52,8 +49,6 @@ type Slot int32
 type Tracker struct {
 	interval sim.Time
 
-	ids   []ObjectID
-	used  []bool
 	epoch []int64 // interval index the temperatures are valid for
 
 	wTemp []float64 // decayed write temperature at start of epoch
@@ -63,8 +58,6 @@ type Tracker struct {
 	winW  []float64 // write pages since the last window reset (ΔW_c accounting)
 	cumW  []float64 // write pages since creation
 	cumR  []float64 // read pages since creation
-
-	live int
 }
 
 // New returns a tracker with the given decay interval.
@@ -92,8 +85,6 @@ func (t *Tracker) Clone(dst *Tracker) *Tracker {
 	}
 	*dst = Tracker{
 		interval: t.interval,
-		ids:      append(dst.ids[:0], t.ids...),
-		used:     append(dst.used[:0], t.used...),
 		epoch:    append(dst.epoch[:0], t.epoch...),
 		wTemp:    append(dst.wTemp[:0], t.wTemp...),
 		tTemp:    append(dst.tTemp[:0], t.tTemp...),
@@ -102,21 +93,15 @@ func (t *Tracker) Clone(dst *Tracker) *Tracker {
 		winW:     append(dst.winW[:0], t.winW...),
 		cumW:     append(dst.cumW[:0], t.cumW...),
 		cumR:     append(dst.cumR[:0], t.cumR...),
-		live:     t.live,
 	}
 	return dst
 }
-
-// Len returns the number of tracked objects.
-func (t *Tracker) Len() int { return t.live }
 
 func (t *Tracker) epochOf(now sim.Time) int64 { return int64(now / t.interval) }
 
 // grow ensures the tables cover slot s.
 func (t *Tracker) grow(s Slot) {
-	for len(t.ids) <= int(s) {
-		t.ids = append(t.ids, 0)
-		t.used = append(t.used, false)
+	for len(t.epoch) <= int(s) {
 		t.epoch = append(t.epoch, 0)
 		t.wTemp = append(t.wTemp, 0)
 		t.tTemp = append(t.tTemp, 0)
@@ -140,18 +125,11 @@ func (t *Tracker) clearRow(s Slot) {
 	t.cumR[s] = 0
 }
 
-// InstallAt binds slot s to object id with fresh (zero) counters. Any
-// previous occupant of the slot is dropped first, so the call is safe
-// on recycled handles and on a slot already bound to id.
-func (t *Tracker) InstallAt(s Slot, id ObjectID) {
+// InstallAt gives slot s fresh (zero) counters, growing the tables to
+// cover it. Whatever a recycled slot held before is dropped.
+func (t *Tracker) InstallAt(s Slot) {
 	t.grow(s)
-	if t.used[s] {
-		t.live--
-	}
 	t.clearRow(s)
-	t.ids[s] = id
-	t.used[s] = true
-	t.live++
 }
 
 // advance folds accumulated accesses into the temperatures and decays
@@ -198,16 +176,8 @@ func (t *Tracker) TouchRead(s Slot, pages int, now sim.Time) {
 	t.cumR[s] += p
 }
 
-// BoundTo reports whether slot s currently holds object id. Callers
-// that keep slots in a parallel table (the cluster's audit) use it to
-// check that their table and the tracker agree.
-func (t *Tracker) BoundTo(s Slot, id ObjectID) bool {
-	return int(s) < len(t.ids) && t.used[s] && t.ids[s] == id
-}
-
 // Snapshot is an object's temperature state at a query instant.
 type Snapshot struct {
-	ID        ObjectID
 	WriteTemp float64 // HDF ranking key
 	TotalTemp float64 // CDF coldness key
 	WinWrites float64 // write pages since last window reset
@@ -221,25 +191,12 @@ type Snapshot struct {
 func (t *Tracker) QueryAt(s Slot, now sim.Time) Snapshot {
 	t.advance(s, t.epochOf(now))
 	return Snapshot{
-		ID:        t.ids[s],
 		WriteTemp: t.wTemp[s] + t.wAcc[s],
 		TotalTemp: t.tTemp[s] + t.tAcc[s],
 		WinWrites: t.winW[s],
 		CumWrites: t.cumW[s],
 		CumReads:  t.cumR[s],
 	}
-}
-
-// All returns snapshots for every tracked object as of now, in
-// unspecified order.
-func (t *Tracker) All(now sim.Time) []Snapshot {
-	out := make([]Snapshot, 0, t.live)
-	for s := range t.ids {
-		if t.used[s] {
-			out = append(out, t.QueryAt(Slot(s), now))
-		}
-	}
-	return out
 }
 
 // ResetWindow zeroes every object's window write counter, starting a new
@@ -250,25 +207,11 @@ func (t *Tracker) ResetWindow() {
 	}
 }
 
-// ForgetAt drops the object at slot s (deleted without migration). The
-// slot may be rebound later with InstallAt.
-func (t *Tracker) ForgetAt(s Slot) {
-	if int(s) >= len(t.ids) || !t.used[s] {
-		return
-	}
-	t.used[s] = false
-	t.live--
-}
-
-// ExportAt removes slot s's state for transfer to another tracker,
-// reporting whether the slot held an object.
-func (t *Tracker) ExportAt(s Slot, now sim.Time) (Snapshot, bool) {
-	if int(s) >= len(t.ids) || !t.used[s] {
-		return Snapshot{}, false
-	}
+// ExportAt returns slot s's state as of now for transfer to another
+// tracker. The row stays as it is until InstallAt recycles it.
+func (t *Tracker) ExportAt(s Slot, now sim.Time) Snapshot {
 	t.advance(s, t.epochOf(now))
 	snap := Snapshot{
-		ID:        t.ids[s],
 		WriteTemp: t.wTemp[s],
 		TotalTemp: t.tTemp[s],
 		WinWrites: t.winW[s],
@@ -279,13 +222,12 @@ func (t *Tracker) ExportAt(s Slot, now sim.Time) (Snapshot, bool) {
 	// history is lost across a move.
 	snap.WriteTemp += t.wAcc[s]
 	snap.TotalTemp += t.tAcc[s]
-	t.ForgetAt(s)
-	return snap, true
+	return snap
 }
 
 // ImportAt installs a snapshot exported from another tracker at slot s.
 func (t *Tracker) ImportAt(s Slot, snap Snapshot, now sim.Time) {
-	t.InstallAt(s, snap.ID)
+	t.InstallAt(s)
 	t.epoch[s] = t.epochOf(now)
 	t.wTemp[s] = snap.WriteTemp
 	t.tTemp[s] = snap.TotalTemp

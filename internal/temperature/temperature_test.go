@@ -4,21 +4,22 @@ import (
 	"math"
 	"testing"
 
+	"edm/internal/object"
 	"edm/internal/sim"
 )
 
 const iv = sim.Minute
 
-// tracked returns a tracker with object id installed at slot 0.
-func tracked(id ObjectID) *Tracker {
+// tracked returns a tracker with slot 0 installed.
+func tracked() *Tracker {
 	tr := New(iv)
-	tr.InstallAt(0, id)
+	tr.InstallAt(0)
 	return tr
 }
 
 func TestRecurrenceEquationSix(t *testing.T) {
 	// T_k = T_{k-1}/2 + A_k, checked against the closed form Eq.(5).
-	tr := tracked(1)
+	tr := tracked()
 	accesses := []int{4, 0, 2, 8, 1}
 	for k, a := range accesses {
 		for i := 0; i < a; i++ {
@@ -39,7 +40,7 @@ func TestRecurrenceEquationSix(t *testing.T) {
 }
 
 func TestCurrentIntervalCountsAtFullWeight(t *testing.T) {
-	tr := tracked(1)
+	tr := tracked()
 	tr.TouchWrite(0, 3, 10)
 	snap := tr.QueryAt(0, 20)
 	if snap.WriteTemp != 3 {
@@ -48,7 +49,7 @@ func TestCurrentIntervalCountsAtFullWeight(t *testing.T) {
 }
 
 func TestDecayOverIdleGaps(t *testing.T) {
-	tr := tracked(1)
+	tr := tracked()
 	tr.TouchWrite(0, 8, 0)
 	// The access at t=0 belongs to interval 1, so T_1 = 8 and each
 	// further idle boundary halves it: T_g = 8 / 2^(g-1).
@@ -62,7 +63,7 @@ func TestDecayOverIdleGaps(t *testing.T) {
 }
 
 func TestLongGapUnderflowsToZero(t *testing.T) {
-	tr := tracked(1)
+	tr := tracked()
 	tr.TouchWrite(0, 1000, 0)
 	if got := tr.QueryAt(0, 100*iv).WriteTemp; got != 0 {
 		t.Fatalf("after 100 idle epochs temp should be exactly 0, got %v", got)
@@ -70,7 +71,7 @@ func TestLongGapUnderflowsToZero(t *testing.T) {
 }
 
 func TestWriteVsTotalTemperature(t *testing.T) {
-	tr := tracked(1)
+	tr := tracked()
 	tr.TouchWrite(0, 2, 0)
 	tr.TouchRead(0, 5, 0)
 	snap := tr.QueryAt(0, 0)
@@ -86,7 +87,7 @@ func TestWriteVsTotalTemperature(t *testing.T) {
 }
 
 func TestWindowWrites(t *testing.T) {
-	tr := tracked(1)
+	tr := tracked()
 	tr.TouchWrite(0, 4, 0)
 	tr.TouchWrite(0, 6, iv)
 	if got := tr.QueryAt(0, iv).WinWrites; got != 10 {
@@ -106,48 +107,47 @@ func TestWindowWrites(t *testing.T) {
 // zero temperature at any later time, and querying it adds no row.
 func TestUnknownObjectIsZero(t *testing.T) {
 	tr := New(iv)
-	tr.InstallAt(3, 99)
+	tr.InstallAt(3)
 	snap := tr.QueryAt(3, 5*iv)
-	if snap.ID != 99 || snap.WriteTemp != 0 || snap.TotalTemp != 0 || snap.WinWrites != 0 {
+	if snap.WriteTemp != 0 || snap.TotalTemp != 0 || snap.WinWrites != 0 {
 		t.Fatalf("untouched object: %+v", snap)
 	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1: QueryAt must not materialise entries", tr.Len())
+	if len(tr.epoch) != 4 {
+		t.Fatalf("%d rows, want 4: QueryAt must not materialise entries", len(tr.epoch))
 	}
 }
 
+// TestForget: an object is forgotten by freeing its store slot. The
+// tracker's seal then counts the row as free, whatever counters it
+// still holds, and the next object on the recycled slot starts from
+// zero.
 func TestForget(t *testing.T) {
-	tr := tracked(1)
-	tr.TouchWrite(0, 1, 0)
-	tr.ForgetAt(0)
-	if tr.Len() != 0 {
-		t.Fatal("ForgetAt should drop the entry")
+	st, tr := newStore(t), New(iv)
+	s := create(t, st, 1)
+	tr.InstallAt(s)
+	tr.TouchWrite(s, 5, 0)
+	st.DeleteIndexed(object.Index(s))
+	untouched := New(iv)
+	untouched.InstallAt(s)
+	if tr.StateDigest(st) != untouched.StateDigest(st) {
+		t.Fatal("a freed slot's leftover counters reached the seal")
 	}
-	if tr.BoundTo(0, 1) {
-		t.Fatal("forgotten slot still bound")
+	if again := create(t, st, 2); again != s {
+		t.Fatalf("object 2 got slot %d, want recycled slot %d", again, s)
 	}
-	tr.ForgetAt(0) // forgetting a free slot is a no-op
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d after a second ForgetAt", tr.Len())
+	tr.InstallAt(s)
+	if snap := tr.QueryAt(s, iv); snap.WriteTemp != 0 || snap.CumWrites != 0 {
+		t.Fatalf("recycled slot kept the forgotten object's counters: %+v", snap)
 	}
 }
 
 func TestExportImportCarriesHistory(t *testing.T) {
-	src, dst := tracked(1), New(iv)
+	src, dst := tracked(), New(iv)
 	src.TouchWrite(0, 8, 0)
 	src.TouchRead(0, 4, 0)
 	now := 2 * iv
-	snap, ok := src.ExportAt(0, now)
-	if !ok {
-		t.Fatal("ExportAt of a bound slot failed")
-	}
-	if src.Len() != 0 {
-		t.Fatal("ExportAt should remove the source entry")
-	}
+	snap := src.ExportAt(0, now)
 	dst.ImportAt(7, snap, now)
-	if !dst.BoundTo(7, 1) {
-		t.Fatal("ImportAt did not bind slot 7 to the object")
-	}
 	got := dst.QueryAt(7, now)
 	// T_1 = 8 writes (12 total), one further idle boundary halves:
 	// T_2 = 4 writes, 6 total.
@@ -163,45 +163,10 @@ func TestExportImportCarriesHistory(t *testing.T) {
 	}
 }
 
-func TestExportUnknown(t *testing.T) {
-	tr := New(iv)
-	if _, ok := tr.ExportAt(5, 0); ok {
-		t.Fatal("ExportAt of a slot past the table should report false")
-	}
-	tr.InstallAt(2, 9)
-	tr.ForgetAt(2)
-	if _, ok := tr.ExportAt(2, 0); ok {
-		t.Fatal("ExportAt of a freed slot should report false")
-	}
-}
-
-func TestAllReturnsEverything(t *testing.T) {
-	tr := New(iv)
-	for s, id := range []ObjectID{1, 2, 3} {
-		tr.InstallAt(Slot(s), id)
-	}
-	tr.TouchWrite(0, 1, 0)
-	tr.TouchRead(1, 1, 0)
-	tr.TouchWrite(2, 1, 0)
-	all := tr.All(0)
-	if len(all) != 3 {
-		t.Fatalf("All returned %d", len(all))
-	}
-	seen := map[ObjectID]bool{}
-	for _, s := range all {
-		seen[s.ID] = true
-	}
-	for _, id := range []ObjectID{1, 2, 3} {
-		if !seen[id] {
-			t.Fatalf("missing object %d", id)
-		}
-	}
-}
-
 func TestHotterObjectRanksHigher(t *testing.T) {
 	tr := New(iv)
-	tr.InstallAt(0, 1)
-	tr.InstallAt(1, 2)
+	tr.InstallAt(0)
+	tr.InstallAt(1)
 	// Object 1: heavily written long ago. Object 2: modestly written
 	// recently. Temporal decay must rank 2 above 1 eventually.
 	tr.TouchWrite(0, 100, 0)
